@@ -191,7 +191,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="classify the survivor set of a hole")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--json", action="store_true", help="JSON output (default)")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_classify)
 
@@ -199,8 +198,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("a_min")
     p.add_argument("a_max")
     p.add_argument("grid_bits", type=int, help="grid step 2^-N")
-    p.add_argument("--mode", choices=["symmetric"], default="symmetric")
-    p.add_argument("--csv", action="store_true", help="CSV output (default)")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_scan)
 
@@ -217,7 +214,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degenerate-samples", type=int, default=9)
     p.add_argument("--sturmian", action="append", default=[],
                    metavar="CF", help="comma-separated slope digits; repeatable")
-    p.add_argument("--json", action="store_true", help="JSON output (default)")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_catalog)
 

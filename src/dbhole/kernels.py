@@ -1,7 +1,8 @@
-"""Pure-Python cylinder survival counting.
+"""Dyadic-cylinder survival counting.
 
-Reference implementation of the hot kernel; arbitrary-precision, so it also
-serves as the fallback when inputs would overflow the compiled 64-bit path.
+The one hot loop of the package and the independent brute-force check on
+automaton path counts: it tests intervals directly and never builds an
+automaton.  Arbitrary-precision integers throughout.
 """
 
 from __future__ import annotations

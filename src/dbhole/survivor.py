@@ -59,57 +59,6 @@ class Classification:
         return (self.entropy_lo + self.entropy_hi) / (2 * math.log(2))
 
 
-def _scc_decompose(auto: SurvivorAutomaton) -> list[list[int]]:
-    """Tarjan on the live subgraph, iterative."""
-    trans, live = auto.transitions, auto.live
-    n = len(trans)
-    index = [-1] * n
-    low = [0] * n
-    onstack = [False] * n
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if not live[root] or index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            s, ptr = work[-1]
-            if ptr == 0:
-                index[s] = low[s] = counter
-                counter += 1
-                stack.append(s)
-                onstack[s] = True
-            succs = [t for t in trans[s] if t >= 0 and live[t]]
-            pushed = False
-            while ptr < len(succs):
-                t = succs[ptr]
-                ptr += 1
-                if index[t] == -1:
-                    work[-1] = (s, ptr)
-                    work.append((t, 0))
-                    pushed = True
-                    break
-                if onstack[t]:
-                    low[s] = min(low[s], index[t])
-            if pushed:
-                continue
-            work.pop()
-            if low[s] == index[s]:
-                comp = []
-                while True:
-                    t = stack.pop()
-                    onstack[t] = False
-                    comp.append(t)
-                    if t == s:
-                        break
-                comps.append(comp)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[s])
-    return comps
-
-
 def _zero_max_rotation(w: str) -> str:
     """Largest rotation beginning with 0: the coding of the largest cycle
     point below 1/2."""
@@ -180,12 +129,16 @@ def _scc_cycle_word(comp: list[int], trans, compset) -> str | None:
 
 def _live_analysis(auto: SurvivorAutomaton):
     """(branching?, list of simple-cycle words, per-branching-SCC node lists)."""
-    comps = _scc_decompose(auto)
+    trans, live = auto.transitions, auto.live
+    succ = [[t for t in trans[s] if t >= 0 and live[t]] if live[s] else []
+            for s in range(len(trans))]
     cycle_words = []
     branching_comps = []
-    for comp in comps:
+    for comp in _graph_sccs(succ):
+        if not live[comp[0]]:
+            continue
         compset = set(comp)
-        word = _scc_cycle_word(comp, auto.transitions, compset)
+        word = _scc_cycle_word(comp, trans, compset)
         if word is None:
             branching_comps.append(comp)
         elif word:
@@ -246,6 +199,20 @@ def classify(hole: Hole, max_states: int = 1_000_000,
     return Classification(Kind.FIXED_ONLY, (), zero_loop, 0.0, 0.0)
 
 
+def _primitive_necklaces(max_len: int):
+    """(word, rotations) for every primitive binary necklace of length at most
+    ``max_len``, written as its least rotation, by length then value.
+
+    The all-ones word is skipped: it codes the point 1, outside [0, 1).
+    """
+    for length in range(1, max_len + 1):
+        for k in range((1 << length) - 1):
+            w = format(k, f"0{length}b")
+            rots = [w[i:] + w[:i] for i in range(length)]
+            if w == min(rots) and len(set(rots)) == length:
+                yield w, rots
+
+
 def enumerate_surviving_cycles(hole: Hole, max_len: int) -> list[str]:
     """All cycle codings of length <= max_len whose orbit avoids the open hole.
 
@@ -256,15 +223,10 @@ def enumerate_surviving_cycles(hole: Hole, max_len: int) -> list[str]:
     if max_len < 1:
         raise ValueError("max_len must be positive")
     out = []
-    for length in range(1, max_len + 1):
-        den = (1 << length) - 1
-        for k in range(0, den):  # den == all-ones is excluded
-            w = format(k, f"0{length}b")
-            rots = [w[i:] + w[:i] for i in range(length)]
-            if w != min(rots) or len(set(rots)) != length:
-                continue
-            if all(not (hole.a < Fraction(int(r, 2), den) < hole.b) for r in rots):
-                out.append(_zero_max_rotation(w))
+    for w, rots in _primitive_necklaces(max_len):
+        den = (1 << len(w)) - 1
+        if all(not (hole.a < Fraction(int(r, 2), den) < hole.b) for r in rots):
+            out.append(_zero_max_rotation(w))
     return sorted(out, key=lambda w: (len(w), w))
 
 
@@ -400,6 +362,8 @@ def _certify_trapped(gaps: list[tuple[Fraction, Fraction]]) -> bool:
 
 
 def _graph_sccs(succ: list[list[int]]) -> list[list[int]]:
+    """Strongly connected components of a digraph given as successor lists
+    (iterative Tarjan)."""
     n = len(succ)
     index = [-1] * n
     low = [0] * n
@@ -464,15 +428,12 @@ def is_trap(c: Fraction, d: Fraction, depth: int = 24, tol=Fraction(1, 10**6),
         raise ValueError(f"need 0 < c < d < 1, got [{c}, {d}]")
     tol = Fraction(tol)
 
-    for length in range(1, witness_max_len + 1):
-        den = (1 << length) - 1
-        for k in range(1, den):
-            w = format(k, f"0{length}b")
-            rots = [w[i:] + w[:i] for i in range(length)]
-            if w != min(rots) or len(set(rots)) != length:
-                continue
-            if all(not (c <= Fraction(int(r, 2), den) <= d) for r in rots):
-                return TrapReport(False, Fraction(1) - (d - c), _zero_max_rotation(w))
+    for w, rots in _primitive_necklaces(witness_max_len):
+        if w == "0":
+            continue
+        den = (1 << len(w)) - 1
+        if all(not (c <= Fraction(int(r, 2), den) <= d) for r in rots):
+            return TrapReport(False, Fraction(1) - (d - c), _zero_max_rotation(w))
     if not c <= Fraction(1, 2) <= d:
         # the orbit of 1/2 is {1/2, 0, 0, ...} and never meets [c, d]
         return TrapReport(False, Fraction(1) - (d - c), "1(0)")

@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from dbhole import kernels
-from dbhole.kernels import cylinder_counts, cylinder_counts_pure
 
 F = Fraction
+HUGE = 10**30
 
 
 def reference_counts(depth, pa, qa, pb, qb):
@@ -32,32 +32,25 @@ def reference_counts(depth, pa, qa, pb, qb):
 
 @pytest.mark.parametrize("pa,qa,pb,qb", [
     (1, 3, 2, 3), (3, 10, 7, 10), (21, 50, 29, 50), (1, 2, 3, 4), (0, 1, 1, 4),
+    pytest.param(1, 3, HUGE - 1, HUGE, id="huge-denominator"),
 ])
 def test_pure_kernel_matches_reference(pa, qa, pb, qb):
     for depth in (4, 7):
-        assert cylinder_counts_pure(depth, pa, qa, pb, qb) == \
+        assert kernels.cylinder_counts(depth, pa, qa, pb, qb) == \
             reference_counts(depth, pa, qa, pb, qb)
 
 
-@pytest.mark.skipif(kernels.BACKEND != "compiled", reason="extension not built")
-def test_compiled_kernel_matches_pure():
+def test_kernel_matches_reference_on_random_holes():
     rng = random.Random(8)
-    for _ in range(50):
-        qa, qb = rng.randrange(2, 65), rng.randrange(2, 65)
-        pa, pb = rng.randrange(0, qa), rng.randrange(1, qb + 1)
-        if F(pa, qa) >= F(pb, qb):
-            continue
-        for depth in (8, 12):
-            assert kernels._cylinder_counts_compiled(depth, pa, qa, pb, qb) == \
-                cylinder_counts_pure(depth, pa, qa, pb, qb)
+    for depth in range(1, 9):
+        for _ in range(6):
+            a, b = sorted(F(rng.randrange(q + 1), q)
+                          for q in (rng.randrange(1, 65), rng.randrange(1, 65)))
+            args = (a.numerator, a.denominator, b.numerator, b.denominator)
+            assert kernels.cylinder_counts(depth, *args) == \
+                reference_counts(depth, *args), (depth, a, b)
 
 
-def test_dispatcher_falls_back_for_big_inputs():
-    huge = 10**30
-    lo, up = cylinder_counts(4, 1, 3, huge - 1, huge)
-    assert cylinder_counts_pure(4, 1, 3, huge - 1, huge) == (lo, up)
-
-
-def test_fast_path_bound():
-    assert kernels._fits_fast_path(14, 21, 50, 29, 50)
-    assert not kernels._fits_fast_path(14, 1, 10**30, 1, 2)
+def test_depth_zero_raises():
+    with pytest.raises(ValueError):
+        kernels.cylinder_counts(0, 1, 3, 2, 3)

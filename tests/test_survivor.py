@@ -7,6 +7,8 @@ import pytest
 from dbhole.automaton import Hole, SurvivorAutomaton, build_automaton
 from dbhole.survivor import (
     Kind,
+    _graph_sccs,
+    _primitive_necklaces,
     classify,
     cylinder_counts,
     entropy,
@@ -118,6 +120,50 @@ def test_enumerated_cycles_match_classification():
         max_len = max(len(w) for w in cls.cycles)
         listed = [w for w in enumerate_surviving_cycles(Hole(a, b), max_len) if w != "0"]
         assert listed == sorted(cls.cycles, key=lambda w: (len(w), w))
+
+
+def _mobius(n):
+    result, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            result = -result
+        p += 1
+    return -result if n > 1 else result
+
+
+def test_primitive_necklace_counts():
+    counts = {}
+    for w, rots in _primitive_necklaces(12):
+        assert w == min(rots) and len(set(rots)) == len(w)
+        counts[len(w)] = counts.get(len(w), 0) + 1
+    for n in range(1, 13):
+        expected = sum(_mobius(d) * 2 ** (n // d) for d in range(1, n + 1) if n % d == 0) // n
+        assert counts[n] == expected - (n == 1)  # the all-ones word is skipped
+    assert [w for w, _ in _primitive_necklaces(1)] == ["0"]
+
+
+def test_graph_sccs_match_mutual_reachability():
+    rng = random.Random(23)
+    for n in range(1, 31):
+        density = rng.random() * 3 / n
+        succ = [[t for t in range(n) if rng.random() < density] for _ in range(n)]
+        reach = []
+        for s in range(n):
+            seen, todo = {s}, [s]
+            while todo:
+                for t in succ[todo.pop()]:
+                    if t not in seen:
+                        seen.add(t)
+                        todo.append(t)
+            reach.append(seen)
+        comps = _graph_sccs(succ)
+        assert sorted(s for comp in comps for s in comp) == list(range(n))
+        for comp in comps:
+            expected = {t for t in reach[comp[0]] if comp[0] in reach[t]}
+            assert set(comp) == expected
 
 
 def test_symmetry_under_digit_swap():
