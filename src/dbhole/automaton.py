@@ -8,13 +8,19 @@ lexicographically smallest representation of b, this is the condition
     for every k:   sigma^k w <= A   or   sigma^k w >= B
 
 and it can be tracked with finitely many suffix-match states because A and B
-are eventually periodic.  Each state records which prefixes of A, of B and of
-their common prefix the recent suffixes of the input still tie with; a tie
-that breaks upward past A while still below B pins the tail value strictly
-inside the hole and kills the path.  Ties against A (resp. B) are conjunctive
-constraints, so only the binding one -- the one whose remaining word is
-lexicographically smallest (resp. largest) -- needs to be kept, which bounds
-the state count by a polynomial in the expansion lengths.
+are eventually periodic.  Each state records which prefixes of the common
+prefix of A and B the recent suffixes of the input still tie with, and the
+binding tie against each endpoint; a tie that breaks upward past A while
+still below B pins the tail value strictly inside the hole and kills the
+path.  A tie is named by the value of the endpoint tail still to match, as
+its numerator over that endpoint's denominator: the tail reads 1 when the
+value is at least (A) or above (B) one half, and moves on by doubling.  No
+two tails of one word are the two expansions of a dyadic rational, so
+lexicographic order on the tails is the numeric order of their numerators.
+Ties against A (resp. B) are conjunctive constraints, so only the binding
+one -- the smallest (resp. largest) remaining tail -- needs to be kept, which
+bounds the state count by a polynomial in the expansion lengths; the build
+does constant work per state and edge, whatever the period.
 """
 
 from __future__ import annotations
@@ -44,35 +50,6 @@ class Hole:
 
     def __str__(self) -> str:
         return f"({self.a}, {self.b})"
-
-
-class _Ray:
-    """Indexable eventually periodic word with canonicalized shift offsets.
-
-    Offsets i and i' are interchangeable when the shifted words agree, which
-    for i >= preperiod happens modulo the period; ``canon`` folds an arbitrary
-    offset into 0..n-1 and ``adv[i]`` is canon(i + 1).
-    """
-
-    __slots__ = ("m", "p", "n", "sym", "adv", "rank")
-
-    def __init__(self, word: EvPeriodicWord):
-        self.m, self.p = len(word.preperiod), len(word.period)
-        self.n = self.m + self.p
-        self.sym = [int(c) for c in word.preperiod + word.period]
-        self.adv = [i + 1 if i + 1 < self.n else self.m for i in range(self.n)]
-        # rank shifts lexicographically; shifts agreeing on m + 2p symbols agree
-        span = self.m + 2 * self.p + 2
-        keys = [word.prefix(i + span)[i:] for i in range(self.n)]
-        order = sorted(range(self.n), key=lambda i: keys[i])
-        self.rank = [0] * self.n
-        for r, i in enumerate(order):
-            self.rank[i] = r
-
-    def canon(self, i: int) -> int:
-        if i < self.n:
-            return i
-        return self.m + (i - self.m) % self.p
 
 
 @dataclass
@@ -173,20 +150,20 @@ def build_automaton(hole: Hole, max_states: int = 1_000_000) -> SurvivorAutomato
         raise ValueError(f"empty hole {hole}")
     wa = lex_max_expansion(hole.a)
     wb = lex_min_expansion(hole.b)
-    A, B = _Ray(wa), _Ray(wb)
+    # a tail of A (resp. B) is named by its numerator over qa (resp. qb)
+    qa, qb = hole.a.denominator, hole.b.denominator
+    ca, cb = hole.a.numerator, hole.b.numerator
 
-    # length of the common prefix of A and B; they differ since a < b,
-    # and at the first difference A carries 0, B carries 1
-    cstar = 0
-    bound = A.n + B.n + max(A.n, B.n) + 4
-    while cstar < bound and A.sym[A.canon(cstar)] == B.sym[B.canon(cstar)]:
-        cstar += 1
-    if cstar >= bound:
-        raise ValueError(f"endpoint expansions of {hole} coincide")
-    common = [A.sym[A.canon(i)] for i in range(cstar)]
-
-    a_first = A.canon(cstar + 1)
-    b_first = B.canon(cstar + 1)
+    # common prefix of A and B; they differ since a < b, and at the first
+    # difference A carries 0, B carries 1
+    common = []
+    while (2 * ca >= qa) == (2 * cb > qb):
+        ch = int(2 * ca >= qa)
+        common.append(ch)
+        ca, cb = 2 * ca - ch * qa, 2 * cb - ch * qb
+    cstar = len(common)
+    a_first = 2 * ca
+    b_first = 2 * cb - qb
 
     start = ((), -1, -1)  # (suffix ties with the common prefix, A tie, B tie)
     ids = {start: 0}
@@ -213,19 +190,19 @@ def build_automaton(hole: Hole, max_states: int = 1_000_000) -> SurvivorAutomato
                 else:
                     b_cands.append(b_first)
             if amin >= 0:
-                na = A.sym[amin]
+                na = int(2 * amin >= qa)
                 if ch == na:
-                    a_cands.append(A.adv[amin])
+                    a_cands.append(2 * amin - na * qa)
                 elif ch > na:
                     continue  # tail now strictly inside the hole
             if bmax >= 0:
-                nb = B.sym[bmax]
+                nb = int(2 * bmax > qb)
                 if ch == nb:
-                    b_cands.append(B.adv[bmax])
+                    b_cands.append(2 * bmax - nb * qb)
                 elif ch < nb:
                     continue
-            namin = min(a_cands, key=A.rank.__getitem__) if a_cands else -1
-            nbmax = max(b_cands, key=B.rank.__getitem__) if b_cands else -1
+            namin = min(a_cands) if a_cands else -1
+            nbmax = max(b_cands) if b_cands else -1
             nstate = (tuple(new_ab), namin, nbmax)
             nid = ids.get(nstate)
             if nid is None:

@@ -67,25 +67,23 @@ def _zero_max_rotation(w: str) -> str:
     return max(zero_rots) if zero_rots else min(rots)
 
 
-def _perron_bracket(rows: list[list[int]], rel_tol: Fraction,
+def _perron_bracket(succ: list[list[int]], rel_tol: Fraction,
                     max_iter: int = 200_000) -> tuple[Fraction, Fraction]:
-    """Certified bracket for the Perron root of an irreducible 0/1/2 matrix.
+    """Certified bracket for the Perron root of an irreducible digraph.
 
-    Power iteration on rows + I (primitive whenever the matrix is
-    irreducible) with exact integer vectors; every Collatz-Wielandt ratio
-    pair min_i (Mx)_i/x_i <= rho <= max_i (Mx)_i/x_i is a valid bound for
-    any positive vector, so occasional rescaling costs nothing.
+    ``succ[i]`` lists the successors of node i; a repeated entry is a
+    parallel edge.  Power iteration on the adjacency matrix plus I (primitive
+    whenever the graph is strongly connected) with exact integer vectors;
+    every Collatz-Wielandt ratio pair min_i (Mx)_i/x_i <= rho <= max_i
+    (Mx)_i/x_i is a valid bound for any positive vector, so occasional
+    rescaling costs nothing.
     """
-    n = len(rows)
-    mat = [list(r) for r in rows]
-    for i in range(n):
-        mat[i][i] += 1
-    sparse = [[(j, c) for j, c in enumerate(row) if c] for row in mat]
+    n = len(succ)
     x = [1] * n
     best_lo = Fraction(0)
     best_hi: Fraction | None = None
     for _ in range(max_iter):
-        y = [sum(c * x[j] for j, c in row) for row in sparse]
+        y = [x[i] + sum(x[j] for j in succ[i]) for i in range(n)]
         lo = min(Fraction(y[i], x[i]) for i in range(n))
         hi = max(Fraction(y[i], x[i]) for i in range(n))
         if lo > best_lo:
@@ -146,30 +144,27 @@ def _live_analysis(auto: SurvivorAutomaton):
     return branching_comps, cycle_words
 
 
-def entropy(auto: SurvivorAutomaton, tol: float = 1e-10) -> tuple[float, float]:
+def entropy(auto: SurvivorAutomaton, tol: float = 1e-10, *,
+            branching: list[list[int]] | None = None) -> tuple[float, float]:
     """Certified bracket for the topological entropy of the live subgraph.
 
     Exactly (0.0, 0.0) when every strongly connected component is a single
     cycle; otherwise a bracket of width at most ``tol`` around log of the
-    Perron root of the live adjacency matrix.
+    Perron root of the live adjacency matrix.  ``branching`` may pass the
+    branching components that ``_live_analysis`` already found.
     """
     if not any(auto.live):
         raise ValueError("entropy undefined: automaton has no live states")
-    branching, _ = _live_analysis(auto)
+    if branching is None:
+        branching, _ = _live_analysis(auto)
     if not branching:
         return (0.0, 0.0)
     rel = Fraction(tol).limit_denominator(10**15) / 4
     lam_lo, lam_hi = Fraction(1), Fraction(1)
     for comp in branching:
-        compset = set(comp)
         idx = {s: i for i, s in enumerate(comp)}
-        rows = [[0] * len(comp) for _ in comp]
-        for s in comp:
-            for ch in (0, 1):
-                t = auto.transitions[s][ch]
-                if t in compset:
-                    rows[idx[s]][idx[t]] += 1
-        lo, hi = _perron_bracket(rows, rel)
+        succ = [[idx[t] for t in auto.transitions[s] if t in idx] for s in comp]
+        lo, hi = _perron_bracket(succ, rel)
         lam_lo = max(lam_lo, lo)
         lam_hi = max(lam_hi, hi)
     pad = 1e-13
@@ -188,7 +183,7 @@ def classify(hole: Hole, max_states: int = 1_000_000,
     zero_loop = any(live and auto.transitions[s][0] == s
                     for s, live in enumerate(auto.live))
     if branching:
-        lo, hi = entropy(auto, tol=entropy_tol)
+        lo, hi = entropy(auto, tol=entropy_tol, branching=branching)
         return Classification(Kind.POSITIVE_ENTROPY, (), zero_loop, lo, hi)
     nontrivial = sorted(
         {_zero_max_rotation(w) for w in cycle_words if w not in ("0", "1")},
@@ -235,12 +230,9 @@ def sigma_n_dimension(n: int, tol: float = 1e-11) -> float:
     least n ones": log2 of the Perron root of the (n+1)-state chain graph."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    rows = [[0] * (n + 1) for _ in range(n + 1)]
-    rows[0][0] = 1       # free state reads 1
-    rows[0][n] = 1       # or reads 0 and owes n ones
-    for k in range(1, n + 1):
-        rows[k][k - 1] = 1
-    lo, hi = _perron_bracket(rows, Fraction(tol).limit_denominator(10**15) / 4)
+    # free state 0 reads 1 and stays, or reads 0 and owes n ones
+    succ = [[0, n]] + [[k - 1] for k in range(1, n + 1)]
+    lo, hi = _perron_bracket(succ, Fraction(tol).limit_denominator(10**15) / 4)
     mid = (math.log2(lo.numerator / lo.denominator)
            + math.log2(hi.numerator / hi.denominator)) / 2
     return mid

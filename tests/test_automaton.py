@@ -109,16 +109,21 @@ def test_full_interval_hole():
     assert not accepts_periodic(auto, "", "01")
 
 
+def assert_prefixes_match_death(hole, max_len):
+    """Every word of length <= max_len is a path exactly when it does not die."""
+    auto = build_automaton(hole)
+    left = lex_max_expansion(hole.a)
+    right = lex_min_expansion(hole.b)
+    for length in range(1, max_len + 1):
+        for bits in itertools.product("01", repeat=length):
+            w = "".join(bits)
+            assert auto.accepts(w) == (not dies(w, left, right)), (hole, w)
+
+
 def test_path_existence_matches_lexicographic_death():
     rng = random.Random(5)
     for _ in range(40):
-        hole = random_hole(rng)
-        auto = build_automaton(hole)
-        left = lex_max_expansion(hole.a)
-        right = lex_min_expansion(hole.b)
-        for bits in itertools.product("01", repeat=9):
-            w = "".join(bits)
-            assert auto.accepts(w) == (not dies(w, left, right)), (hole, w)
+        assert_prefixes_match_death(random_hole(rng), 9)
 
 
 def test_periodic_acceptance_matches_exact_tail_values():
@@ -141,12 +146,37 @@ def test_long_period_endpoints_checked_exhaustively_deeper():
         Hole(F(17, 53), F(30, 53)),  # period 52
     ]
     for hole in cases:
-        auto = build_automaton(hole)
-        left = lex_max_expansion(hole.a)
-        right = lex_min_expansion(hole.b)
-        for bits in itertools.product("01", repeat=12):
-            w = "".join(bits)
-            assert auto.accepts(w) == (not dies(w, left, right)), (hole, w)
+        assert_prefixes_match_death(hole, 12)
+
+
+M100 = 2**100 - 1               # about 1.27e30; expansions of period 100
+MIXED = 2**40 * (2**60 - 1)     # about 1.27e30; preperiod 40, period 60
+
+
+@pytest.mark.parametrize("hole", [
+    pytest.param(Hole(F(0), F(1)), id="full-interval"),
+    pytest.param(Hole(F(0), F(1, 3)), id="a-zero"),
+    pytest.param(Hole(F(0), F(2, 5)), id="a-zero-period-4"),
+    pytest.param(Hole(F(2, 3), F(1)), id="b-one"),
+    pytest.param(Hole(F(3, 7), F(1)), id="b-one-period-3"),
+    pytest.param(Hole(F(1, 4), F(3, 4)), id="dyadic-both"),
+    pytest.param(Hole(F(3, 8), F(5, 8)), id="dyadic-narrow"),
+    pytest.param(Hole(F(1, 8), F(1, 2)), id="dyadic-half"),
+    pytest.param(Hole(F(5, 16), F(11, 32)), id="dyadic-thin"),
+    pytest.param(Hole(F(13, 32), F(9, 16)), id="dyadic-wide"),
+    pytest.param(Hole(F(0), F(1, 2**100)), id="dyadic-preperiod-100"),
+    pytest.param(Hole(1 - F(1, M100), F(1)), id="huge-near-one"),
+    pytest.param(Hole(F(2 * M100 // 5 + 1, M100), F(2 * M100 // 5 + 1 + M100 // 50, M100)),
+                 id="huge-period-100"),
+    pytest.param(Hole(F(2 * MIXED // 5 + 1, MIXED), F(2 * MIXED // 5 + 1 + MIXED // 50, MIXED)),
+                 id="huge-preperiod-40"),
+    pytest.param(Hole(F(1650, 4003), F(1700, 4003)), id="prime-4003"),
+    pytest.param(Hole(F(1700, 4019), F(1712, 4019)), id="prime-4019"),
+])
+def test_edge_endpoints_checked_exhaustively(hole):
+    # endpoints random_hole never draws: 0, 1, dyadic (b's expansion ends in
+    # 1^inf), denominators near 10^30 and prime denominators beyond 4000
+    assert_prefixes_match_death(hole, 12)
 
 
 def test_state_count_polynomial_in_expansion_lengths():

@@ -4,10 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+from dbhole import survivor
 from dbhole.automaton import Hole, SurvivorAutomaton, build_automaton
 from dbhole.survivor import (
     Kind,
     _graph_sccs,
+    _live_analysis,
+    _perron_bracket,
     _primitive_necklaces,
     classify,
     cylinder_counts,
@@ -92,6 +95,83 @@ def test_entropy_requires_live_states():
 def test_entropy_zero_for_pure_cycles():
     auto = build_automaton(Hole(F(17, 50), F(33, 50)))
     assert entropy(auto) == (0.0, 0.0)
+
+
+def test_classify_runs_live_analysis_once(monkeypatch):
+    calls = []
+
+    def counted(auto):
+        calls.append(auto)
+        return _live_analysis(auto)
+
+    monkeypatch.setattr(survivor, "_live_analysis", counted)
+    assert classify(Hole(F(21, 50), F(29, 50))).kind is Kind.POSITIVE_ENTROPY
+    assert len(calls) == 1
+
+
+def dense_perron_bracket(rows, rel_tol, max_iter=200_000):
+    """Reference: the Perron bracket on a dense adjacency matrix, as it was
+    computed before successor lists replaced the rows."""
+    n = len(rows)
+    mat = [list(r) for r in rows]
+    for i in range(n):
+        mat[i][i] += 1
+    sparse = [[(j, c) for j, c in enumerate(row) if c] for row in mat]
+    x = [1] * n
+    best_lo = Fraction(0)
+    best_hi = None
+    for _ in range(max_iter):
+        y = [sum(c * x[j] for j, c in row) for row in sparse]
+        lo = min(Fraction(y[i], x[i]) for i in range(n))
+        hi = max(Fraction(y[i], x[i]) for i in range(n))
+        if lo > best_lo:
+            best_lo = lo
+        if best_hi is None or hi < best_hi:
+            best_hi = hi
+        if best_hi - best_lo <= rel_tol * best_lo:
+            return best_lo - 1, best_hi - 1
+        x = y
+        top = max(x)
+        if top.bit_length() > 300:
+            shift = top.bit_length() - 150
+            x = [max(1, v >> shift) for v in x]
+    raise AssertionError("reference bracket did not converge")
+
+
+def dense_rows(succ):
+    rows = [[0] * len(succ) for _ in succ]
+    for i, targets in enumerate(succ):
+        for j in targets:
+            rows[i][j] += 1
+    return rows
+
+
+def test_perron_bracket_matches_dense_reference():
+    rel = F(1e-10).limit_denominator(10**15) / 4
+    rng = random.Random(11)
+    graphs = []
+    while len(graphs) < 30:
+        qa, qb = rng.randrange(2, 41), rng.randrange(2, 41)
+        a, b = F(rng.randrange(1, qa), qa), F(rng.randrange(1, qb), qb)
+        if not a < b:
+            continue
+        auto = build_automaton(Hole(a, b))
+        for comp in _live_analysis(auto)[0]:
+            idx = {s: i for i, s in enumerate(comp)}
+            graphs.append([[idx[t] for t in auto.transitions[s] if t in idx] for s in comp])
+    # built automata never carry parallel edges (the 0- and 1-successors of
+    # a state differ), so the repeated successor entries are written by hand
+    parallel = [
+        [[0, 0]],                    # full shift: two loops
+        [[1, 1], [0]],
+        [[0, 1], [0, 0]],
+        [[1, 1], [2, 2], [0, 0]],    # a doubled 3-cycle
+        [[0, 2], [0, 0], [1]],
+    ]
+    graphs += parallel
+    graphs += [[[0, n]] + [[k - 1] for k in range(1, n + 1)] for n in range(1, 6)]
+    for succ in graphs:
+        assert _perron_bracket(succ, rel) == dense_perron_bracket(dense_rows(succ), rel), succ
 
 
 def test_no_factor_00_hole_has_golden_entropy():
