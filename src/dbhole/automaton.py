@@ -9,10 +9,11 @@ lexicographically smallest representation of b, this is the condition
 
 and it can be tracked with finitely many suffix-match states because A and B
 are eventually periodic.  Each state records which prefixes of the common
-prefix of A and B the recent suffixes of the input still tie with, and the
-binding tie against each endpoint; a tie that breaks upward past A while
-still below B pins the tail value strictly inside the hole and kills the
-path.  A tie is named by the value of the endpoint tail still to match, as
+prefix of A and B the recent suffixes of the input still tie with, as a
+bitmask advanced Shift-And style (bit i: a tie with the first i symbols),
+and the binding tie against each endpoint; a tie that breaks upward past A
+while still below B pins the tail value strictly inside the hole and kills
+the path.  A tie is named by the value of the endpoint tail still to match, as
 its numerator over that endpoint's denominator: the tail reads 1 when the
 value is at least (A) or above (B) one half, and moves on by doubling.  No
 two tails of one word are the two expansions of a dyadic rational, so
@@ -21,6 +22,11 @@ Ties against A (resp. B) are conjunctive constraints, so only the binding
 one -- the smallest (resp. largest) remaining tail -- needs to be kept, which
 bounds the state count by a polynomial in the expansion lengths; the build
 does constant work per state and edge, whatever the period.
+
+Liveness comes from the SCC condensation (Lind & Marcus, ch. 4): one Tarjan
+pass over the transitions yields the components with an internal edge, and
+a state is live exactly when it reaches one of them.  The automaton keeps
+those components, so classification runs no second graph pass.
 """
 
 from __future__ import annotations
@@ -59,10 +65,13 @@ class SurvivorAutomaton:
     ``transitions[s]`` is a pair (target on 0, target on 1) with -1 for a
     missing edge.  ``live[s]`` marks states with an infinite outgoing path;
     infinite paths from the start state are exactly the surviving codings.
+    ``components`` lists the strongly connected components with an internal
+    edge, in reverse topological order; every state on a cycle is in one.
     """
 
     transitions: list[tuple[int, int]]
     live: list[bool]
+    components: list[list[int]]
     start: int = 0
     hole: Hole | None = None
     left_word: EvPeriodicWord | None = None
@@ -71,7 +80,8 @@ class SurvivorAutomaton:
     @classmethod
     def from_transitions(cls, transitions, start: int = 0) -> "SurvivorAutomaton":
         trans = [tuple(t) for t in transitions]
-        return cls(trans, _live_states(trans), start)
+        comps, live = _graph_sccs(trans)
+        return cls(trans, live, comps, start)
 
     @property
     def n_states(self) -> int:
@@ -116,27 +126,74 @@ class SurvivorAutomaton:
         return "\n".join(lines) + "\n"
 
 
-def _live_states(trans: list[tuple[int, int]]) -> list[bool]:
-    """States admitting an infinite outgoing path (kill dead ends repeatedly)."""
-    n = len(trans)
-    preds: list[list[int]] = [[] for _ in range(n)]
-    outdeg = [0] * n
-    for s, (t0, t1) in enumerate(trans):
-        for t in (t0, t1):
-            if t >= 0:
-                preds[t].append(s)
-                outdeg[s] += 1
-    alive = [d > 0 for d in outdeg]
-    stack = [s for s in range(n) if not alive[s]]
-    while stack:
-        dead = stack.pop()
-        for s in preds[dead]:
-            if alive[s]:
-                outdeg[s] -= sum(1 for t in trans[s] if t == dead)
-                if outdeg[s] == 0:
-                    alive[s] = False
-                    stack.append(s)
-    return alive
+def _graph_sccs(succ) -> tuple[list[list[int]], list[bool]]:
+    """Strongly connected components with an internal edge, and per node
+    whether an infinite path starts there (iterative Tarjan).
+
+    ``succ[s]`` lists the successors of s; a negative entry is no edge, so
+    automaton transitions are valid input.  Tarjan emits components in
+    reverse topological order: every successor of a component lies in it or
+    in one emitted before.  So a component is live, as it is emitted, when it
+    has an internal edge or an edge into a live component.  An emitted node's
+    index becomes n + (its component's root): above every DFS index, so it
+    lowers no low-link, and equal across the component.
+    """
+    n = len(succ)
+    index = [-1] * n
+    low = [0] * n
+    live = [False] * n
+    stack: list[int] = []
+    comps: list[list[int]] = []
+    counter = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            s, it = work[-1]
+            for t in it:
+                if t < 0:
+                    continue
+                if index[t] < 0:
+                    index[t] = low[t] = counter
+                    counter += 1
+                    stack.append(t)
+                    work.append((t, iter(succ[t])))
+                    break
+                if index[t] < low[s]:  # t is still on the stack
+                    low[s] = index[t]
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if low[s] < low[parent]:
+                        low[parent] = low[s]
+                if low[s] == index[s]:
+                    tag = n + s
+                    comp = []
+                    while True:
+                        t = stack.pop()
+                        index[t] = tag
+                        comp.append(t)
+                        if t == s:
+                            break
+                    internal = alive = False
+                    for t in comp:
+                        for u in succ[t]:
+                            if u >= 0:
+                                if index[u] == tag:
+                                    internal = True
+                                elif live[u]:
+                                    alive = True
+                    if internal:
+                        comps.append(comp)
+                    if internal or alive:
+                        for t in comp:
+                            live[t] = True
+    return comps, live
 
 
 def build_automaton(hole: Hole, max_states: int = 1_000_000) -> SurvivorAutomaton:
@@ -165,55 +222,55 @@ def build_automaton(hole: Hole, max_states: int = 1_000_000) -> SurvivorAutomato
     a_first = 2 * ca
     b_first = 2 * cb - qb
 
-    start = ((), -1, -1)  # (suffix ties with the common prefix, A tie, B tie)
-    ids = {start: 0}
-    trans: list[list[int]] = [[-1, -1]]
-    queue = [start]
+    # Shift-And over the common prefix: bit i of a tie mask says the suffix
+    # read so far ties with its first i symbols, and match[ch] holds bit i
+    # when symbol i is ch; bit cstar (a tie with the whole prefix) goes on
+    # to an A tie on 0 or a B tie on 1
+    match = [0, 0]
+    for i, ch in enumerate(common):
+        match[ch] |= 1 << i
+    # a state is (tie mask, A tie, B tie); its id is its place in the queue
+    queue = [(0, -1, -1)]
+    ids = {queue[0]: 0}
+    trans: list[tuple[int, int]] = []
     head = 0
     while head < len(queue):
-        state = queue[head]
+        mask, amin, bmax = queue[head]
         head += 1
-        sid = ids[state]
-        abt, amin, bmax = state
+        mask |= 1  # a suffix starting at the next symbol ties with the empty prefix
+        full = mask >> cstar & 1
+        # the next symbol of each binding tail, or -1 without such a tie
+        na = int(2 * amin >= qa) if amin >= 0 else -1
+        nb = int(2 * bmax > qb) if bmax >= 0 else -1
+        row = [-1, -1]
         for ch in (0, 1):
-            a_cands = []
-            b_cands = []
-            new_ab = []
-            for i in (0,) + abt:  # ascending, so new_ab stays sorted
-                if i < cstar:
-                    if ch == common[i]:
-                        new_ab.append(i + 1)
-                    # a mismatch inside the common prefix resolves the tie:
-                    # below A or above B, satisfied either way
-                elif ch == 0:
-                    a_cands.append(a_first)
-                else:
-                    b_cands.append(b_first)
-            if amin >= 0:
-                na = int(2 * amin >= qa)
-                if ch == na:
-                    a_cands.append(2 * amin - na * qa)
-                elif ch > na:
-                    continue  # tail now strictly inside the hole
-            if bmax >= 0:
-                nb = int(2 * bmax > qb)
-                if ch == nb:
-                    b_cands.append(2 * bmax - nb * qb)
-                elif ch < nb:
-                    continue
-            namin = min(a_cands) if a_cands else -1
-            nbmax = max(b_cands) if b_cands else -1
-            nstate = (tuple(new_ab), namin, nbmax)
+            namin = a_first if full and not ch else -1
+            nbmax = b_first if full and ch else -1
+            if ch == na:
+                tail = 2 * amin - na * qa
+                if namin < 0 or tail < namin:
+                    namin = tail
+            elif na >= 0 and ch > na:
+                continue  # tail now strictly inside the hole
+            if ch == nb:
+                tail = 2 * bmax - nb * qb
+                if tail > nbmax:
+                    nbmax = tail
+            elif ch < nb:
+                continue
+            # a mismatch inside the common prefix resolves that tie: below A
+            # or above B, satisfied either way
+            nstate = ((mask & match[ch]) << 1, namin, nbmax)
             nid = ids.get(nstate)
             if nid is None:
-                nid = len(trans)
+                nid = len(queue)
                 if nid >= max_states:
                     raise BudgetExceededError(
                         f"automaton for {hole} exceeds {max_states} states"
                     )
                 ids[nstate] = nid
-                trans.append([-1, -1])
                 queue.append(nstate)
-            trans[sid][ch] = nid
-    tuples = [(t0, t1) for t0, t1 in trans]
-    return SurvivorAutomaton(tuples, _live_states(tuples), 0, hole, wa, wb)
+            row[ch] = nid
+        trans.append((row[0], row[1]))
+    comps, live = _graph_sccs(trans)
+    return SurvivorAutomaton(trans, live, comps, 0, hole, wa, wb)

@@ -46,10 +46,20 @@ def pi_value(w: EvPeriodicWord) -> Fraction:
     return Fraction(head * ((1 << p) - 1) + body, (1 << m) * ((1 << p) - 1))
 
 
+# Expansion budgets: trial division stops at this divisor, and no period
+# longer than this many symbols is written out.
+MAX_TRIAL_DIVISOR = 1 << 22
+MAX_PERIOD = 1 << 20
+
+
 def _factorize(n: int) -> dict[int, int]:
     out: dict[int, int] = {}
     d = 2
     while d * d <= n:
+        if d > MAX_TRIAL_DIVISOR:
+            raise BudgetExceededError(
+                f"trial division of {n} passed {MAX_TRIAL_DIVISOR} without a factor"
+            )
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
@@ -63,11 +73,17 @@ def _multiplicative_order_of_two(v: int) -> int:
     """Order of 2 modulo odd v >= 1."""
     if v == 1:
         return 1
-    lam = 1
-    for prime, k in _factorize(v).items():
-        lam = math.lcm(lam, prime ** (k - 1) * (prime - 1))
-    order = lam
-    for prime in _factorize(lam):
+    if pow(2, v - 1, v) == 1:
+        # the order divides v - 1, whether v is prime or a pseudoprime
+        order = v - 1
+        primes = _factorize(order)
+    else:
+        lam = 1
+        for prime, k in _factorize(v).items():
+            lam = math.lcm(lam, prime ** (k - 1) * (prime - 1))
+        order = lam
+        primes = _factorize(lam)
+    for prime in primes:
         while order % prime == 0 and pow(2, order // prime, v) == 1:
             order //= prime
     return order
@@ -84,31 +100,37 @@ def binary_expansion(x: Fraction, form: str = "lower", allow_one: bool = False) 
 
     The preperiod length is the 2-adic valuation of the denominator and the
     period length is the multiplicative order of 2 modulo its odd part, so no
-    digit-by-digit division is needed.
+    digit-by-digit division is needed.  A denominator whose odd part needs a
+    trial divisor above ``MAX_TRIAL_DIVISOR``, or whose period is longer than
+    ``MAX_PERIOD`` symbols, raises BudgetExceededError.
     """
     if form not in ("lower", "upper"):
         raise ValueError(f"form must be 'lower' or 'upper', got {form!r}")
     x = Fraction(x)
-    if x == 1:
+    p, q = x.numerator, x.denominator
+    if p == q:
         if allow_one:
             return EvPeriodicWord("", "1")
         raise ValueError("x = 1 has no expansion in [0,1); pass allow_one=True for (1)^inf")
-    if not 0 <= x < 1:
+    if not 0 <= p < q:
         raise ValueError(f"x must lie in [0, 1), got {x}")
-    p, q = x.numerator, x.denominator
-    u = 0
-    v = q
-    while v % 2 == 0:
-        v //= 2
-        u += 1
+    u = (q & -q).bit_length() - 1  # 2-adic valuation of q
+    v = q >> u
     pre = format((p << u) // q, f"0{u}b") if u else ""
     if v == 1:
-        if form == "upper" and x > 0:
+        if form == "upper" and p > 0:
             # pre ends with 1 since p is odd
             return EvPeriodicWord(pre[:-1] + "0", "1")
         return EvPeriodicWord(pre, "0")
-    t = _multiplicative_order_of_two(v)
-    body = (p % v) * ((1 << t) - 1) // v
+    try:
+        t = _multiplicative_order_of_two(v)
+    except BudgetExceededError as exc:
+        raise BudgetExceededError(f"period of denominator {q}: {exc}") from exc
+    if t > MAX_PERIOD:
+        raise BudgetExceededError(
+            f"denominator {q} has a period of {t} symbols, above {MAX_PERIOD}"
+        )
+    body = ((p % v) << t) // v
     return EvPeriodicWord(pre, format(body, f"0{t}b"))
 
 

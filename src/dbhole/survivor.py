@@ -17,8 +17,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .automaton import Hole, SurvivorAutomaton, build_automaton
+from .automaton import Hole, SurvivorAutomaton, _graph_sccs, build_automaton
 from .rationals import BudgetExceededError
+from .words import cyclic_extremes
 from . import kernels
 
 
@@ -61,10 +62,12 @@ class Classification:
 
 def _zero_max_rotation(w: str) -> str:
     """Largest rotation beginning with 0: the coding of the largest cycle
-    point below 1/2."""
-    rots = [w[i:] + w[:i] for i in range(len(w))]
-    zero_rots = [r for r in rots if r[0] == "0"]
-    return max(zero_rots) if zero_rots else min(rots)
+    point below 1/2.
+
+    The largest rotation of a word holding a 0 ends in 0, so moving that 0
+    to the front gives it.
+    """
+    return "0" + cyclic_extremes(w)[1][:-1]
 
 
 def _perron_bracket(succ: list[list[int]], rel_tol: Fraction,
@@ -103,17 +106,15 @@ def _perron_bracket(succ: list[list[int]], rel_tol: Fraction,
     )
 
 
-def _scc_cycle_word(comp: list[int], trans, compset) -> str | None:
+def _scc_cycle_word(comp: list[int], trans) -> str | None:
     """Edge labels around a single-cycle SCC, or None if it branches."""
+    compset = set(comp)
     internal = {}
     for s in comp:
         succ = [(ch, trans[s][ch]) for ch in (0, 1) if trans[s][ch] in compset]
         if len(succ) > 1:
             return None
-        if succ:
-            internal[s] = succ[0]
-    if not internal:
-        return ""  # trivial SCC, no internal edge
+        internal[s] = succ[0]
     s = comp[0]
     word = []
     while True:
@@ -126,37 +127,29 @@ def _scc_cycle_word(comp: list[int], trans, compset) -> str | None:
 
 
 def _live_analysis(auto: SurvivorAutomaton):
-    """(branching?, list of simple-cycle words, per-branching-SCC node lists)."""
-    trans, live = auto.transitions, auto.live
-    succ = [[t for t in trans[s] if t >= 0 and live[t]] if live[s] else []
-            for s in range(len(trans))]
-    cycle_words = []
+    """(branching SCC node lists, simple-cycle words) of the automaton's
+    components with an internal edge, all of them live."""
     branching_comps = []
-    for comp in _graph_sccs(succ):
-        if not live[comp[0]]:
-            continue
-        compset = set(comp)
-        word = _scc_cycle_word(comp, trans, compset)
+    cycle_words = []
+    for comp in auto.components:
+        word = _scc_cycle_word(comp, auto.transitions)
         if word is None:
             branching_comps.append(comp)
-        elif word:
+        else:
             cycle_words.append(word)
     return branching_comps, cycle_words
 
 
-def entropy(auto: SurvivorAutomaton, tol: float = 1e-10, *,
-            branching: list[list[int]] | None = None) -> tuple[float, float]:
+def entropy(auto: SurvivorAutomaton, tol: float = 1e-10) -> tuple[float, float]:
     """Certified bracket for the topological entropy of the live subgraph.
 
     Exactly (0.0, 0.0) when every strongly connected component is a single
     cycle; otherwise a bracket of width at most ``tol`` around log of the
-    Perron root of the live adjacency matrix.  ``branching`` may pass the
-    branching components that ``_live_analysis`` already found.
+    Perron root of the live adjacency matrix.
     """
     if not any(auto.live):
         raise ValueError("entropy undefined: automaton has no live states")
-    if branching is None:
-        branching, _ = _live_analysis(auto)
+    branching, _ = _live_analysis(auto)
     if not branching:
         return (0.0, 0.0)
     rel = Fraction(tol).limit_denominator(10**15) / 4
@@ -183,7 +176,7 @@ def classify(hole: Hole, max_states: int = 1_000_000,
     zero_loop = any(live and auto.transitions[s][0] == s
                     for s, live in enumerate(auto.live))
     if branching:
-        lo, hi = entropy(auto, tol=entropy_tol, branching=branching)
+        lo, hi = entropy(auto, tol=entropy_tol)
         return Classification(Kind.POSITIVE_ENTROPY, (), zero_loop, lo, hi)
     nontrivial = sorted(
         {_zero_max_rotation(w) for w in cycle_words if w not in ("0", "1")},
@@ -330,11 +323,9 @@ def _certify_trapped(gaps: list[tuple[Fraction, Fraction]]) -> bool:
     if n and gaps[-1][1] == 1 and gaps[-1][0] >= half:
         succ[-1] = [j for j in succ[-1] if j != n - 1]
 
-    for comp in _graph_sccs(succ):
+    for comp in _graph_sccs(succ)[0]:
         compset = set(comp)
         internal = {s: [t for t in succ[s] if t in compset] for s in comp}
-        if sum(len(v) for v in internal.values()) == 0:
-            continue
         if any(len(v) != 1 for v in internal.values()):
             return False
         if any(branch[s] is None for s in comp):
@@ -351,56 +342,6 @@ def _certify_trapped(gaps: list[tuple[Fraction, Fraction]]) -> bool:
         if any(gaps[t][0] < fixed < gaps[t][1] for t in comp):
             return False
     return True
-
-
-def _graph_sccs(succ: list[list[int]]) -> list[list[int]]:
-    """Strongly connected components of a digraph given as successor lists
-    (iterative Tarjan)."""
-    n = len(succ)
-    index = [-1] * n
-    low = [0] * n
-    onstack = [False] * n
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            s, ptr = work[-1]
-            if ptr == 0:
-                index[s] = low[s] = counter
-                counter += 1
-                stack.append(s)
-                onstack[s] = True
-            pushed = False
-            while ptr < len(succ[s]):
-                t = succ[s][ptr]
-                ptr += 1
-                if index[t] == -1:
-                    work[-1] = (s, ptr)
-                    work.append((t, 0))
-                    pushed = True
-                    break
-                if onstack[t]:
-                    low[s] = min(low[s], index[t])
-            if pushed:
-                continue
-            work.pop()
-            if low[s] == index[s]:
-                comp = []
-                while True:
-                    t = stack.pop()
-                    onstack[t] = False
-                    comp.append(t)
-                    if t == s:
-                        break
-                comps.append(comp)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[s])
-    return comps
 
 
 def is_trap(c: Fraction, d: Fraction, depth: int = 24, tol=Fraction(1, 10**6),

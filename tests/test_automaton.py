@@ -1,11 +1,12 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from dbhole.automaton import Hole, SurvivorAutomaton, build_automaton
-from dbhole.rationals import lex_max_expansion, lex_min_expansion, pi_value
+from dbhole.rationals import BudgetExceededError, lex_max_expansion, lex_min_expansion, pi_value
 from dbhole.words import EvPeriodicWord
 
 F = Fraction
@@ -151,6 +152,7 @@ def test_long_period_endpoints_checked_exhaustively_deeper():
 
 M100 = 2**100 - 1               # about 1.27e30; expansions of period 100
 MIXED = 2**40 * (2**60 - 1)     # about 1.27e30; preperiod 40, period 60
+W12 = F(1, 2**13)               # half of 2^-12
 
 
 @pytest.mark.parametrize("hole", [
@@ -177,6 +179,39 @@ def test_edge_endpoints_checked_exhaustively(hole):
     # endpoints random_hole never draws: 0, 1, dyadic (b's expansion ends in
     # 1^inf), denominators near 10^30 and prime denominators beyond 4000
     assert_prefixes_match_death(hole, 12)
+
+
+@pytest.mark.parametrize("hole", [
+    pytest.param(Hole(F(1, 3) - W12, F(1, 3) + W12), id="around-1/3"),
+    pytest.param(Hole(F(1, 3), F(1, 3) + 2 * W12), id="above-1/3"),
+    pytest.param(Hole(F(2, 5) - W12, F(2, 5) + W12), id="around-2/5"),
+    pytest.param(Hole(F(2, 5) - 2 * W12, F(2, 5)), id="below-2/5"),
+    pytest.param(Hole(F(170, 509), F(171, 509)), id="thin-509-near-1/3"),
+    pytest.param(Hole(F(204, 509), F(205, 509)), id="thin-509-near-2/5"),
+    pytest.param(Hole(F(341, 1019), F(342, 1019)), id="thin-1019"),
+    pytest.param(Hole(F(801, 2003), F(802, 2003)), id="thin-2003"),
+])
+def test_long_self_overlapping_common_prefix(hole):
+    # the endpoints share 6-11 symbols of 0101... or 0110..., so a suffix
+    # ties with several shifts of the common prefix at once; words of 14
+    # symbols reach past a whole-prefix tie into the endpoint tails
+    assert_prefixes_match_death(hole, 14)
+
+
+# 2^(v-1) != 1 (mod v) and the least prime factor of v is about 1.4e14
+NO_SMALL_FACTOR = 3 * 2**98 - 1
+
+
+@pytest.mark.parametrize("hole", [
+    pytest.param(Hole(F(1, 3), F(NO_SMALL_FACTOR // 2, NO_SMALL_FACTOR)), id="no-small-factor"),
+    # factors at once, but the period of 2 modulo 10^30 + 1 is about 3.8e16
+    pytest.param(Hole(F(1, 3), F(10**30 // 2, 10**30 + 1)), id="period-3.8e16"),
+])
+def test_endpoint_expansion_budget(hole):
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match=str(hole.b.denominator)):
+        build_automaton(hole)
+    assert time.perf_counter() - start < 2
 
 
 def test_state_count_polynomial_in_expansion_lengths():
@@ -206,6 +241,59 @@ def test_dump_is_deterministic_and_diffable():
         "3 0 -> 4\n"
         "4 1 -> 3\n"
     )
+
+
+def peel_dead_ends(trans):
+    """Reference liveness: remove states without successors until none is left."""
+    n = len(trans)
+    preds = [[] for _ in range(n)]
+    outdeg = [0] * n
+    for s, (t0, t1) in enumerate(trans):
+        for t in (t0, t1):
+            if t >= 0:
+                preds[t].append(s)
+                outdeg[s] += 1
+    alive = [d > 0 for d in outdeg]
+    stack = [s for s in range(n) if not alive[s]]
+    while stack:
+        dead = stack.pop()
+        for s in preds[dead]:
+            if alive[s]:
+                outdeg[s] -= sum(1 for t in trans[s] if t == dead)
+                if outdeg[s] == 0:
+                    alive[s] = False
+                    stack.append(s)
+    return alive
+
+
+def random_transitions(rng):
+    """A 2-out table with self-loops, t0 == t1 pairs and dead chains."""
+    n = rng.randrange(1, 25)
+    chain = rng.randrange(0, 6)
+    total = n + chain
+
+    def target(s):
+        r = rng.random()
+        return -1 if r < 0.25 else s if r < 0.4 else rng.randrange(total)
+
+    trans = []
+    for s in range(n):
+        t0 = target(s)
+        t1 = t0 if rng.random() < 0.15 else target(s)
+        trans.append((t0, t1))
+    # a chain n -> n+1 -> ... -> dead end, entered from the random part
+    trans += [(n + i + 1, -1) for i in range(chain - 1)] + [(-1, -1)] * (chain > 0)
+    return trans
+
+
+def test_live_flags_match_dead_end_peeling():
+    rng = random.Random(9)
+    for _ in range(600):
+        trans = random_transitions(rng)
+        assert SurvivorAutomaton.from_transitions(trans).live == peel_dead_ends(trans), trans
+    for _ in range(150):
+        auto = build_automaton(random_hole(rng))
+        assert auto.live == peel_dead_ends(auto.transitions), auto.hole
 
 
 def test_from_transitions_live_pruning():

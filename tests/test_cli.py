@@ -113,6 +113,14 @@ def test_catalog_certify_flags(capsys):
                for e in rational)
 
 
+def test_expansion_budget_exits_3(capsys):
+    v = 3 * 2**98 - 1  # trial division finds no factor within the budget
+    code, out, err = run(capsys, "classify", "1/3", f"{v // 2}/{v}")
+    assert code == 3
+    assert str(v) in err
+    assert out == ""
+
+
 def test_budget_exhaustion_exits_3(capsys, monkeypatch):
     from fractions import Fraction
     from dbhole.rationals import BudgetExceededError

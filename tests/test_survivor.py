@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from dbhole import survivor
+from dbhole import automaton, survivor
 from dbhole.automaton import Hole, SurvivorAutomaton, build_automaton
 from dbhole.survivor import (
     Kind,
@@ -12,6 +12,7 @@ from dbhole.survivor import (
     _live_analysis,
     _perron_bracket,
     _primitive_necklaces,
+    _zero_max_rotation,
     classify,
     cylinder_counts,
     entropy,
@@ -97,16 +98,27 @@ def test_entropy_zero_for_pure_cycles():
     assert entropy(auto) == (0.0, 0.0)
 
 
-def test_classify_runs_live_analysis_once(monkeypatch):
+def test_classify_runs_tarjan_once(monkeypatch):
     calls = []
+    in_entropy = []
+    sccs = automaton._graph_sccs
 
-    def counted(auto):
-        calls.append(auto)
-        return _live_analysis(auto)
+    def counted(succ):
+        calls.append(len(succ))
+        return sccs(succ)
 
-    monkeypatch.setattr(survivor, "_live_analysis", counted)
+    def entropy_counted(auto, **kwargs):
+        before = len(calls)
+        result = entropy(auto, **kwargs)
+        in_entropy.append(len(calls) - before)
+        return result
+
+    monkeypatch.setattr(automaton, "_graph_sccs", counted)
+    monkeypatch.setattr(survivor, "_graph_sccs", counted)
+    monkeypatch.setattr(survivor, "entropy", entropy_counted)
     assert classify(Hole(F(21, 50), F(29, 50))).kind is Kind.POSITIVE_ENTROPY
     assert len(calls) == 1
+    assert in_entropy == [0]
 
 
 def dense_perron_bracket(rows, rel_tol, max_iter=200_000):
@@ -229,21 +241,41 @@ def test_graph_sccs_match_mutual_reachability():
     rng = random.Random(23)
     for n in range(1, 31):
         density = rng.random() * 3 / n
-        succ = [[t for t in range(n) if rng.random() < density] for _ in range(n)]
+        # a negative entry is no edge
+        succ = [[t if rng.random() < 0.8 else -1 for t in range(n) if rng.random() < density]
+                for _ in range(n)]
+        # reach[s]: nodes at the end of a path of one or more edges from s
         reach = []
         for s in range(n):
-            seen, todo = {s}, [s]
+            seen, todo = set(), [s]
             while todo:
                 for t in succ[todo.pop()]:
-                    if t not in seen:
+                    if t >= 0 and t not in seen:
                         seen.add(t)
                         todo.append(t)
             reach.append(seen)
-        comps = _graph_sccs(succ)
-        assert sorted(s for comp in comps for s in comp) == list(range(n))
+        cyclic = [s for s in range(n) if s in reach[s]]
+        comps, live = _graph_sccs(succ)
+        assert sorted(s for comp in comps for s in comp) == cyclic
         for comp in comps:
-            expected = {t for t in reach[comp[0]] if comp[0] in reach[t]}
-            assert set(comp) == expected
+            assert set(comp) == {t for t in reach[comp[0]] if comp[0] in reach[t]}
+        for i, comp in enumerate(comps):  # reverse topological order
+            assert not any(t in reach[comp[0]] for later in comps[i + 1:] for t in later)
+        assert live == [any(t in reach[t] for t in reach[s]) for s in range(n)]
+
+
+def reference_zero_max_rotation(w):
+    """The largest rotation beginning with 0, found among all rotations."""
+    rots = [w[i:] + w[:i] for i in range(len(w))]
+    zero_rots = [r for r in rots if r[0] == "0"]
+    return max(zero_rots) if zero_rots else min(rots)
+
+
+def test_zero_max_rotation_matches_reference():
+    words = [r for _, rots in _primitive_necklaces(12) for r in rots]
+    assert len(words) == 8031
+    for w in words:
+        assert _zero_max_rotation(w) == reference_zero_max_rotation(w), w
 
 
 def test_symmetry_under_digit_swap():
