@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .rationals import BudgetExceededError, lex_max_expansion, lex_min_expansion
-from .words import EvPeriodicWord
 
 
 @dataclass(frozen=True)
@@ -74,8 +73,6 @@ class SurvivorAutomaton:
     components: list[list[int]]
     start: int = 0
     hole: Hole | None = None
-    left_word: EvPeriodicWord | None = None
-    right_word: EvPeriodicWord | None = None
 
     @classmethod
     def from_transitions(cls, transitions, start: int = 0) -> "SurvivorAutomaton":
@@ -205,8 +202,9 @@ def build_automaton(hole: Hole, max_states: int = 1_000_000) -> SurvivorAutomato
     """
     if hole.a >= hole.b:
         raise ValueError(f"empty hole {hole}")
-    wa = lex_max_expansion(hole.a)
-    wb = lex_min_expansion(hole.b)
+    # words unused; kept for their expansion budgets and perfbench's expand span
+    lex_max_expansion(hole.a)
+    lex_min_expansion(hole.b)
     # a tail of A (resp. B) is named by its numerator over qa (resp. qb)
     qa, qb = hole.a.denominator, hole.b.denominator
     ca, cb = hole.a.numerator, hole.b.numerator
@@ -273,4 +271,4 @@ def build_automaton(hole: Hole, max_states: int = 1_000_000) -> SurvivorAutomato
             row[ch] = nid
         trans.append((row[0], row[1]))
     comps, live = _graph_sccs(trans)
-    return SurvivorAutomaton(trans, live, comps, 0, hole, wa, wb)
+    return SurvivorAutomaton(trans, live, comps, 0, hole)

@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: classify, scan, bisect-astar, catalog, trap, word, sturmian,
-supercritical-test.  Rationals print exactly as "p/q", floats with 12
-significant digits; output is byte-deterministic for fixed inputs.  Exit
-codes: 0 success, 2 argument error, 3 iteration/state budget exceeded.
+supercritical-test.  Rationals print exactly as "p/q", floats with 12 significant
+digits; output is byte-deterministic for fixed inputs.  Exit codes: 0 success,
+2 argument error, 3 iteration, state or expansion budget exceeded.
 """
 
 from __future__ import annotations

@@ -6,8 +6,8 @@ strongly connected component.  The three outcomes are decided graph-
 theoretically, never by comparing a float to zero.  Entropy is certified by
 exact Collatz-Wielandt bounds on the Perron root of the live adjacency
 matrix, cycles are enumerated independently of the automaton from primitive
-necklaces, and is_trap() decides interval trapping from exact backward
-preimage unions.
+necklaces, and is_trap() decides interval trapping by exact recursion on the
+gaps whose points have not yet met the interval.
 """
 
 from __future__ import annotations
@@ -218,31 +218,23 @@ def enumerate_surviving_cycles(hole: Hole, max_len: int) -> list[str]:
     return sorted(out, key=lambda w: (len(w), w))
 
 
-def sigma_n_dimension(n: int, tol: float = 1e-11) -> float:
-    """Hausdorff dimension of the set coded by "every 0 is followed by at
-    least n ones": log2 of the Perron root of the (n+1)-state chain graph."""
+def _sigma_n_chain(n: int) -> SurvivorAutomaton:
+    """State 0 reads 1 and stays or reads 0 and owes n ones; k owes k ones."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    # free state 0 reads 1 and stays, or reads 0 and owes n ones
-    succ = [[0, n]] + [[k - 1] for k in range(1, n + 1)]
-    lo, hi = _perron_bracket(succ, Fraction(tol).limit_denominator(10**15) / 4)
-    mid = (math.log2(lo.numerator / lo.denominator)
-           + math.log2(hi.numerator / hi.denominator)) / 2
-    return mid
+    return SurvivorAutomaton.from_transitions([(n, 0)] + [(-1, k - 1) for k in range(1, n + 1)])
+
+
+def sigma_n_dimension(n: int, tol: float = 1e-11) -> float:
+    """Hausdorff dimension of the set coded by "every 0 is followed by at
+    least n ones": log2 of the Perron root of the chain graph."""
+    lo, hi = entropy(_sigma_n_chain(n), tol)
+    return (lo + hi) / (2 * math.log(2))
 
 
 def sigma_n_matrix_word_count(n: int, length: int) -> int:
-    """Number of admissible words of the given length (transfer-matrix count)."""
-    vec = [0] * (n + 1)  # paths from the free state
-    vec[0] = 1
-    for _ in range(length):
-        nxt = [0] * (n + 1)
-        nxt[0] += vec[0]
-        nxt[n] += vec[0]
-        for k in range(1, n + 1):
-            nxt[k - 1] += vec[k]
-        vec = nxt
-    return sum(vec)
+    """Number of admissible words of the given length (paths in the chain)."""
+    return _sigma_n_chain(n).count_paths(length)
 
 
 def cylinder_counts(hole: Hole, depth: int) -> tuple[int, int]:
@@ -264,30 +256,6 @@ class TrapReport:
     trapped: bool | None
     residual_measure: Fraction
     escape_witness: str | None
-
-
-def _merge_intervals(ivs: list[tuple[Fraction, Fraction]]) -> list[tuple[Fraction, Fraction]]:
-    ivs.sort()
-    out = [ivs[0]]
-    for lo, hi in ivs[1:]:
-        if lo <= out[-1][1]:
-            if hi > out[-1][1]:
-                out[-1] = (out[-1][0], hi)
-        else:
-            out.append((lo, hi))
-    return out
-
-
-def _complement_gaps(union: list[tuple[Fraction, Fraction]]) -> list[tuple[Fraction, Fraction]]:
-    """Open complement components of the union within (0, 1)."""
-    gaps = []
-    if union[0][0] > 0:
-        gaps.append((Fraction(0), union[0][0]))
-    for (_, h1), (l2, _) in zip(union, union[1:]):
-        gaps.append((h1, l2))
-    if union[-1][1] < 1:
-        gaps.append((union[-1][1], Fraction(1)))
-    return gaps
 
 
 def _certify_trapped(gaps: list[tuple[Fraction, Fraction]]) -> bool:
@@ -348,18 +316,20 @@ def is_trap(c: Fraction, d: Fraction, depth: int = 24, tol=Fraction(1, 10**6),
             witness_max_len: int = 12, max_intervals: int = 20_000) -> TrapReport:
     """Is [c, d] a trap, i.e. do its backward images cover all of (0, 1)?
 
-    Grows the union of preimages of [c, d] for ``depth`` rounds of exact
-    interval arithmetic.  trapped=True requires both the residual measure to
-    drop below ``tol`` and the expanding-gap certificate to hold, so a True
-    answer is a proof.  trapped=False is reported with a witness: a cycle (or
-    the eventually fixed coding 1(0) of the point 1/2) that avoids the closed
-    interval.  Anything else is None.  The residual is the measure of (0, 1)
-    not yet covered when the verdict was reached.
+    Tracks the gaps (points whose orbit has not met [c, d]) for ``depth``
+    exact rounds: from (0, c), (d, 1), each round takes their two preimages
+    cut at c and d, which stay sorted.  trapped=True requires both their
+    measure, the residual, to drop below ``tol`` and the expanding-gap
+    certificate to hold, so it is a proof.  trapped=False comes with a witness:
+    a cycle (or the coding 1(0) of 1/2) that avoids the closed interval.
+    Anything else is None, as is a run past ``max_intervals + 1`` gaps.
     """
     c, d = Fraction(c), Fraction(d)
     if not 0 < c < d < 1:
         raise ValueError(f"need 0 < c < d < 1, got [{c}, {d}]")
     tol = Fraction(tol)
+    if depth < 0 or tol <= 0:
+        raise ValueError(f"need depth >= 0 and tol > 0, got {depth} and {tol}")
 
     for w, rots in _primitive_necklaces(witness_max_len):
         if w == "0":
@@ -371,17 +341,15 @@ def is_trap(c: Fraction, d: Fraction, depth: int = 24, tol=Fraction(1, 10**6),
         # the orbit of 1/2 is {1/2, 0, 0, ...} and never meets [c, d]
         return TrapReport(False, Fraction(1) - (d - c), "1(0)")
 
-    union = [(c, d)]
+    gaps = [(Fraction(0), c), (d, Fraction(1))]
     residual = Fraction(1) - (d - c)
     for _ in range(depth):
-        grown = list(union)
-        for lo, hi in union:
-            grown.append((lo / 2, hi / 2))
-            grown.append(((lo + 1) / 2, (hi + 1) / 2))
-        union = _merge_intervals(grown)
-        if len(union) > max_intervals:
+        pre = [(lo / 2, hi / 2) for lo, hi in gaps]
+        pre += [((lo + 1) / 2, (hi + 1) / 2) for lo, hi in gaps]
+        gaps = ([(lo, min(hi, c)) for lo, hi in pre if lo < c]
+                + [(max(lo, d), hi) for lo, hi in pre if hi > d])
+        if len(gaps) > max_intervals + 1:
             break
-        gaps = _complement_gaps(union)
         residual = sum((hi - lo for lo, hi in gaps), Fraction(0))
         if residual < tol and _certify_trapped(gaps):
             return TrapReport(True, residual, None)

@@ -159,6 +159,21 @@ def test_trap_false_with_witness(capsys):
     assert data["escape_witness"] == "01"
 
 
+def test_trap_undecided_prints_null(capsys):
+    code, out, _ = run(capsys, "trap", "1/3", "2/3", "--depth", "2")
+    assert code == 0
+    data = json.loads(out)
+    assert data["trapped"] is None
+    assert data["escape_witness"] is None
+
+
+def test_trap_negative_depth_or_tol_exits_2(capsys):
+    for flags in (["--depth", "-1"], ["--tol", "-1"], ["--tol", "0"]):
+        code, out, err = run(capsys, "trap", "1/3", "2/3", *flags)
+        assert code == 2, flags
+        assert out == "" and "error" in err
+
+
 def test_word_standard(capsys):
     code, out, _ = run(capsys, "word", "standard", "1", "2")
     assert code == 0

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,8 @@ from dbhole import automaton, survivor
 from dbhole.automaton import Hole, SurvivorAutomaton, build_automaton
 from dbhole.survivor import (
     Kind,
+    TrapReport,
+    _certify_trapped,
     _graph_sccs,
     _live_analysis,
     _perron_bracket,
@@ -372,6 +375,152 @@ def test_is_trap_rejects_degenerate_interval():
         is_trap(F(0), F(1, 2))
 
 
+def test_is_trap_rejects_negative_depth_and_nonpositive_tol():
+    with pytest.raises(ValueError):
+        is_trap(F(1, 3), F(2, 3), depth=-1)
+    for tol in (0, -1):
+        with pytest.raises(ValueError):
+            is_trap(F(1, 3), F(2, 3), tol=tol)
+    # depth 0 runs the witness search alone
+    assert is_trap(F(1, 3), F(2, 3), depth=0) == TrapReport(None, F(2, 3), None)
+    assert is_trap(F(2, 5), F(9, 20), depth=0).escape_witness == "01"
+
+
+def reference_merge_intervals(ivs):
+    ivs.sort()
+    out = [ivs[0]]
+    for lo, hi in ivs[1:]:
+        if lo <= out[-1][1]:
+            if hi > out[-1][1]:
+                out[-1] = (out[-1][0], hi)
+        else:
+            out.append((lo, hi))
+    return out
+
+
+def reference_complement_gaps(union):
+    gaps = []
+    if union[0][0] > 0:
+        gaps.append((F(0), union[0][0]))
+    for (_, h1), (l2, _) in zip(union, union[1:]):
+        gaps.append((h1, l2))
+    if union[-1][1] < 1:
+        gaps.append((union[-1][1], F(1)))
+    return gaps
+
+
+def reference_is_trap(c, d, depth=24, tol=F(1, 10**6), witness_max_len=12,
+                      max_intervals=20_000, cutoffs=None):
+    """is_trap as it was before the gap recursion: grow the covered union of
+    preimages, sort-merge it and take its complement.  ``cutoffs`` counts
+    the runs stopped by ``max_intervals``."""
+    c, d = F(c), F(d)
+    tol = F(tol)
+    for w, rots in _primitive_necklaces(witness_max_len):
+        if w == "0":
+            continue
+        den = (1 << len(w)) - 1
+        if all(not (c <= F(int(r, 2), den) <= d) for r in rots):
+            return TrapReport(False, F(1) - (d - c), _zero_max_rotation(w))
+    if not c <= F(1, 2) <= d:
+        return TrapReport(False, F(1) - (d - c), "1(0)")
+    union = [(c, d)]
+    residual = F(1) - (d - c)
+    for _ in range(depth):
+        grown = list(union)
+        for lo, hi in union:
+            grown.append((lo / 2, hi / 2))
+            grown.append(((lo + 1) / 2, (hi + 1) / 2))
+        union = reference_merge_intervals(grown)
+        if len(union) > max_intervals:
+            if cutoffs is not None:
+                cutoffs.append((c, d))
+            break
+        gaps = reference_complement_gaps(union)
+        residual = sum((hi - lo for lo, hi in gaps), F(0))
+        if residual < tol and _certify_trapped(gaps):
+            return TrapReport(True, residual, None)
+    return TrapReport(None, residual, None)
+
+
+def test_is_trap_matches_union_reference():
+    rng = random.Random(31)
+    verdicts = {True: 0, False: 0, None: 0}
+    cutoffs = []
+    i = 0
+    while sum(verdicts.values()) < 520:
+        i += 1
+        # most intervals straddle 1/2, and the widest of them are traps
+        width = F(rng.randrange(1, 400), 1000)
+        q = rng.choice((20, 31, 63, 64, 97, 128, 1000))
+        c = F(rng.randrange(max(1, round((F(1, 2) - width) * q)), q // 2 + 1), q)
+        d = min(c + width, F(q - 1, q))
+        if i % 8 == 0:
+            c, d = sorted((F(rng.randrange(1, q), q), F(rng.randrange(1, q), q)))
+        elif i % 8 == 1:
+            # 2d - 1 = c: a preimage of the gap (0, c) ends exactly at d
+            d = F(rng.randrange(q // 2 + 1, q), q)
+            c = 2 * d - 1
+        elif i % 8 == 2:
+            # 2c = d: a preimage of the gap (d, 1) starts exactly at c
+            c = F(rng.randrange(1, q // 2), q)
+            d = 2 * c
+        if not 0 < c < d < 1:
+            continue
+        kwargs = dict(depth=rng.randrange(0, 13), tol=F(1, rng.choice((10, 100, 1000, 10**4))),
+                      witness_max_len=rng.randrange(0, 7), max_intervals=rng.randrange(1, 60))
+        want = reference_is_trap(c, d, cutoffs=cutoffs, **kwargs)
+        assert is_trap(c, d, **kwargs) == want, (c, d, kwargs)
+        verdicts[want.trapped] += 1
+    assert min(verdicts.values()) >= 20, verdicts
+    assert len(cutoffs) >= 20
+
+
+def test_is_trap_long_period_endpoint_is_certified():
+    # the endpoint 3/5 + 1/40038007 has a binary period past MAX_PERIOD, so
+    # no automaton can be built for it; the gap certificate needs none
+    start = time.perf_counter()
+    assert is_trap(F(1, 3), F(3, 5) + F(1, 40038007)).trapped is True
+    assert time.perf_counter() - start < 1
+
+
+def trap_by_automaton(c, d):
+    """[c, d] is a trap iff it holds 1/2, the open hole (c, d) has no
+    branching survivor component, and every surviving cycle meets c or d."""
+    if not c <= F(1, 2) <= d:
+        return False
+    branching, cycle_words = _live_analysis(build_automaton(Hole(c, d)))
+    if branching:
+        return False
+    for w in cycle_words:
+        if w in ("0", "1"):
+            continue
+        den = (1 << len(w)) - 1
+        points = {F(int(w[i:] + w[:i], 2), den) for i in range(len(w))}
+        if c not in points and d not in points:
+            return False
+    return True
+
+
+def test_is_trap_agrees_with_automaton_criterion():
+    rng = random.Random(32)
+    decided = {True: 0, False: 0}
+    for _ in range(400):
+        # c <= 1/2 <= d, as a trap needs, apart from one pair in eight
+        qc, qd = rng.randrange(2, 129), rng.randrange(2, 129)
+        c = F(rng.randrange(1, qc // 2 + 1), qc)
+        d = F(rng.randrange((qd + 1) // 2, qd), qd)
+        if rng.random() < 1 / 8:
+            c, d = F(rng.randrange(1, qc), qc), F(rng.randrange(1, qd), qd)
+        if not c < d:
+            continue
+        report = is_trap(c, d, depth=16, tol=F(1, 100), max_intervals=2000, witness_max_len=8)
+        if report.trapped is not None:
+            assert report.trapped == trap_by_automaton(c, d), (c, d)
+            decided[report.trapped] += 1
+    assert min(decided.values()) >= 10, decided
+
+
 def test_sigma_dimensions():
     assert abs(sigma_n_dimension(1) - math.log2(GOLDEN)) < 1e-9
     # real root of x^3 = x^2 + 1
@@ -405,6 +554,25 @@ def brute_sigma_count(n, length):
 def test_sigma_counts_match_bruteforce(n):
     for length in (8, 12):
         assert sigma_n_matrix_word_count(n, length) == brute_sigma_count(n, length)
+
+
+def transfer_matrix_count(n, length):
+    """Reference: sigma_n word count by the (n+1)-state transfer-matrix loop."""
+    vec = [1] + [0] * n
+    for _ in range(length):
+        nxt = [0] * (n + 1)
+        nxt[0] += vec[0]
+        nxt[n] += vec[0]
+        for k in range(1, n + 1):
+            nxt[k - 1] += vec[k]
+        vec = nxt
+    return sum(vec)
+
+
+def test_sigma_counts_match_transfer_matrix():
+    for n in range(1, 9):
+        for length in range(30):
+            assert sigma_n_matrix_word_count(n, length) == transfer_matrix_count(n, length)
 
 
 def test_locate_entropy_transition_coarse():
