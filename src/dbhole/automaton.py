@@ -20,8 +20,11 @@ two tails of one word are the two expansions of a dyadic rational, so
 lexicographic order on the tails is the numeric order of their numerators.
 Ties against A (resp. B) are conjunctive constraints, so only the binding
 one -- the smallest (resp. largest) remaining tail -- needs to be kept, which
-bounds the state count by a polynomial in the expansion lengths; the build
-does constant work per state and edge, whatever the period.
+bounds the state count by a polynomial in the expansion lengths.  Each state
+reads 0 and 1 once: a B tie whose tail reads 1 kills the 0-edge (the tail
+falls strictly inside the hole), an A tie whose tail reads 0 kills the
+1-edge, and otherwise both ties move on by doubling.  So the build does
+constant work per state and edge, whatever the period.
 
 Liveness comes from the SCC condensation (Lind & Marcus, ch. 4): one Tarjan
 pass over the transitions yields the components with an internal edge, and
@@ -88,8 +91,11 @@ class SurvivorAutomaton:
         """Number of words of the given length labeling paths from the start.
 
         With ``live_only`` the path must end in a live state, i.e. the word is
-        a prefix of an accepted infinite sequence.
+        a prefix of an accepted infinite sequence.  A negative length raises
+        ValueError; length 0 counts the empty word.
         """
+        if length < 0:
+            raise ValueError(f"length must be >= 0, got {length}")
         vec = {self.start: 1}
         for _ in range(length):
             nxt: dict[int, int] = {}
@@ -221,54 +227,47 @@ def build_automaton(hole: Hole, max_states: int = 1_000_000) -> SurvivorAutomato
     b_first = 2 * cb - qb
 
     # Shift-And over the common prefix: bit i of a tie mask says the suffix
-    # read so far ties with its first i symbols, and match[ch] holds bit i
-    # when symbol i is ch; bit cstar (a tie with the whole prefix) goes on
-    # to an A tie on 0 or a B tie on 1
-    match = [0, 0]
-    for i, ch in enumerate(common):
-        match[ch] |= 1 << i
-    # a state is (tie mask, A tie, B tie); its id is its place in the queue
-    queue = [(0, -1, -1)]
+    # read so far ties with its first i symbols, and m0 (m1) holds bit i when
+    # symbol i is 0 (1); bit cstar (a tie with the whole prefix) goes on to
+    # an A tie on 0 or a B tie on 1
+    m1 = sum(ch << i for i, ch in enumerate(common))
+    m0 = m1 ^ ((1 << cstar) - 1)
+    # a state is (tie mask, A tie, B tie), its id its place in the queue; no
+    # A tie is the tail value 1 (qa) and no B tie the value 0: doubling keeps
+    # them, they never kill an edge, and every real tie binds tighter
+    queue = [(0, qa, 0)]
     ids = {queue[0]: 0}
+    n = 1  # states so far
     trans: list[tuple[int, int]] = []
-    head = 0
-    while head < len(queue):
-        mask, amin, bmax = queue[head]
-        head += 1
+    for mask, amin, bmax in queue:
         mask |= 1  # a suffix starting at the next symbol ties with the empty prefix
         full = mask >> cstar & 1
-        # the next symbol of each binding tail, or -1 without such a tie
-        na = int(2 * amin >= qa) if amin >= 0 else -1
-        nb = int(2 * bmax > qb) if bmax >= 0 else -1
-        row = [-1, -1]
-        for ch in (0, 1):
-            namin = a_first if full and not ch else -1
-            nbmax = b_first if full and ch else -1
-            if ch == na:
-                tail = 2 * amin - na * qa
-                if namin < 0 or tail < namin:
-                    namin = tail
-            elif na >= 0 and ch > na:
-                continue  # tail now strictly inside the hole
-            if ch == nb:
-                tail = 2 * bmax - nb * qb
-                if tail > nbmax:
-                    nbmax = tail
-            elif ch < nb:
-                continue
-            # a mismatch inside the common prefix resolves that tie: below A
-            # or above B, satisfied either way
-            nstate = ((mask & match[ch]) << 1, namin, nbmax)
-            nid = ids.get(nstate)
-            if nid is None:
-                nid = len(queue)
-                if nid >= max_states:
-                    raise BudgetExceededError(
-                        f"automaton for {hole} exceeds {max_states} states"
-                    )
-                ids[nstate] = nid
+        a2, b2 = 2 * amin, 2 * bmax
+        # on 0 the path dies if the B tie reads 1 (its tail falls strictly
+        # inside the hole), on 1 if the A tie reads 0; an A tie reading 1 on
+        # a 0, a B tie reading 0 on a 1 and a mismatch inside the common
+        # prefix are resolved: below A or above B, satisfied either way
+        t0 = t1 = -1
+        if b2 <= qb:
+            namin = a2 if a2 < qa else qa
+            if full and a_first < namin:
+                namin = a_first
+            nstate = ((mask & m0) << 1, namin, b2)
+            t0 = ids.setdefault(nstate, n)
+            if t0 == n:
                 queue.append(nstate)
-            row[ch] = nid
-        trans.append((row[0], row[1]))
+                n += 1
+        if a2 >= qa:
+            nbmax = b2 - qb if b2 > qb else 0
+            if full and b_first > nbmax:
+                nbmax = b_first
+            nstate = ((mask & m1) << 1, a2 - qa, nbmax)
+            t1 = ids.setdefault(nstate, n)
+            if t1 == n:
+                queue.append(nstate)
+                n += 1
+        trans.append((t0, t1))
+        if n > max_states:
+            raise BudgetExceededError(f"automaton for {hole} exceeds {max_states} states")
     comps, live = _graph_sccs(trans)
     return SurvivorAutomaton(trans, live, comps, 0, hole)

@@ -3,10 +3,15 @@
 Conversion between rationals in [0, 1] and eventually periodic binary
 expansions, the map x -> 2x mod 1, and orbit computation with exact cycle
 detection.  Everything here is integer/Fraction arithmetic; no floats.
+
+The period of an expansion is the order of 2 modulo the odd part of the
+denominator.  The last ``ORDER_CACHE_SIZE`` orders are memoised, so the two
+endpoints of a hole with a shared odd part pay for one factorisation.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -69,8 +74,17 @@ def _factorize(n: int) -> dict[int, int]:
     return out
 
 
+# How many orders of 2 _multiplicative_order_of_two remembers.
+ORDER_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=ORDER_CACHE_SIZE)
 def _multiplicative_order_of_two(v: int) -> int:
-    """Order of 2 modulo odd v >= 1."""
+    """Order of 2 modulo odd v >= 1.
+
+    Memoised; a BudgetExceededError is not cached, so it is raised again on
+    every call.
+    """
     if v == 1:
         return 1
     if pow(2, v - 1, v) == 1:

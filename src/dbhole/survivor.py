@@ -106,37 +106,47 @@ def _perron_bracket(succ: list[list[int]], rel_tol: Fraction,
     )
 
 
-def _scc_cycle_word(comp: list[int], trans) -> str | None:
-    """Edge labels around a single-cycle SCC, or None if it branches."""
-    compset = set(comp)
-    internal = {}
-    for s in comp:
-        succ = [(ch, trans[s][ch]) for ch in (0, 1) if trans[s][ch] in compset]
-        if len(succ) > 1:
-            return None
-        internal[s] = succ[0]
-    s = comp[0]
-    word = []
-    while True:
-        ch, t = internal[s]
-        word.append(str(ch))
-        s = t
-        if s == comp[0]:
-            break
-    return "".join(word)
-
-
 def _live_analysis(auto: SurvivorAutomaton):
     """(branching SCC node lists, simple-cycle words) of the automaton's
-    components with an internal edge, all of them live."""
+    components with an internal edge, all of them live.
+
+    A component is a simple cycle when every state has exactly one successor
+    inside it; the walk from its first state reads the cycle word and stops
+    at the first state with both successors inside.  A walk that closes
+    before it has met every state also means a branching component.
+    """
+    trans = auto.transitions
     branching_comps = []
     cycle_words = []
     for comp in auto.components:
-        word = _scc_cycle_word(comp, auto.transitions)
-        if word is None:
-            branching_comps.append(comp)
+        first = comp[0]
+        if len(comp) == 1:
+            # the state loops on itself, on one symbol or on both
+            t0, t1 = trans[first]
+            if t0 == t1:
+                branching_comps.append(comp)
+            else:
+                cycle_words.append("0" if t0 == first else "1")
+            continue
+        inside = set(comp)
+        word = []
+        s = first
+        while True:
+            t0, t1 = trans[s]
+            if t0 in inside:
+                if t1 in inside:
+                    break
+                word.append("0")
+                s = t0
+            else:
+                word.append("1")
+                s = t1
+            if s == first:
+                break
+        if len(word) == len(comp):
+            cycle_words.append("".join(word))
         else:
-            cycle_words.append(word)
+            branching_comps.append(comp)
     return branching_comps, cycle_words
 
 

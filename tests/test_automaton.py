@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -301,3 +302,137 @@ def test_from_transitions_live_pruning():
     auto = SurvivorAutomaton.from_transitions([(0, 1), (-1, -1)])
     assert auto.live == [True, False]
     assert auto.count_paths(5, live_only=True) == 1
+
+
+def test_count_paths_rejects_negative_length():
+    auto = build_automaton(Hole(F(1, 3), F(2, 3)))
+    assert auto.count_paths(0) == auto.count_paths(0, live_only=True) == 1
+    with pytest.raises(ValueError, match="-5"):
+        auto.count_paths(-5)
+    with pytest.raises(ValueError, match="-1"):
+        auto.count_paths(-1, live_only=True)
+
+
+@pytest.mark.parametrize("hole", [
+    pytest.param(Hole(F(1, 3), F(2, 3)), id="middle-third"),
+    pytest.param(Hole(F(21, 50), F(29, 50)), id="branching"),
+    pytest.param(Hole(F(341, 1019), F(342, 1019)), id="thin-1019"),
+])
+def test_state_budget_boundary(hole):
+    n = build_automaton(hole).n_states
+    assert build_automaton(hole, max_states=n).dump() == build_automaton(hole).dump()
+    message = re.escape(f"automaton for {hole} exceeds {n - 1} states")
+    with pytest.raises(BudgetExceededError, match=message):
+        build_automaton(hole, max_states=n - 1)
+
+
+def reference_transitions(hole):
+    """The Shift-And BFS that read both symbols in one loop per state, kept
+    as the reference for build_automaton's transitions (no state budget)."""
+    qa, qb = hole.a.denominator, hole.b.denominator
+    ca, cb = hole.a.numerator, hole.b.numerator
+
+    common = []
+    while (2 * ca >= qa) == (2 * cb > qb):
+        ch = int(2 * ca >= qa)
+        common.append(ch)
+        ca, cb = 2 * ca - ch * qa, 2 * cb - ch * qb
+    cstar = len(common)
+    a_first = 2 * ca
+    b_first = 2 * cb - qb
+
+    match = [0, 0]
+    for i, ch in enumerate(common):
+        match[ch] |= 1 << i
+    queue = [(0, -1, -1)]
+    ids = {queue[0]: 0}
+    trans = []
+    head = 0
+    while head < len(queue):
+        mask, amin, bmax = queue[head]
+        head += 1
+        mask |= 1
+        full = mask >> cstar & 1
+        na = int(2 * amin >= qa) if amin >= 0 else -1
+        nb = int(2 * bmax > qb) if bmax >= 0 else -1
+        row = [-1, -1]
+        for ch in (0, 1):
+            namin = a_first if full and not ch else -1
+            nbmax = b_first if full and ch else -1
+            if ch == na:
+                tail = 2 * amin - na * qa
+                if namin < 0 or tail < namin:
+                    namin = tail
+            elif na >= 0 and ch > na:
+                continue
+            if ch == nb:
+                tail = 2 * bmax - nb * qb
+                if tail > nbmax:
+                    nbmax = tail
+            elif ch < nb:
+                continue
+            nstate = ((mask & match[ch]) << 1, namin, nbmax)
+            nid = ids.get(nstate)
+            if nid is None:
+                nid = len(queue)
+                ids[nstate] = nid
+                queue.append(nstate)
+            row[ch] = nid
+        trans.append((row[0], row[1]))
+    return trans
+
+
+def common_prefix_len(hole):
+    a, b = lex_max_expansion(hole.a), lex_min_expansion(hole.b)
+    k = 0
+    while a.sym(k) == b.sym(k):
+        k += 1
+    return k
+
+
+def dyadic_or_small(rng):
+    if rng.random() < 0.6:
+        k = rng.randrange(1, 12)
+        return F(rng.randrange(0, 2**k + 1), 2**k)
+    q = rng.randrange(2, 65)
+    return F(rng.randrange(0, q + 1), q)
+
+
+def seeded_holes(rng):
+    """(shape, hole) for 2,020 holes of the shapes the build treats apart."""
+    holes = []
+    while len(holes) < 600:  # a = 0, b = 1 and dyadic endpoints (B ends in 1^inf)
+        a = F(0) if rng.random() < 0.25 else dyadic_or_small(rng)
+        b = F(1) if rng.random() < 0.25 else dyadic_or_small(rng)
+        if a < b:
+            holes.append(("dyadic", Hole(a, b)))
+    for _ in range(600):  # both endpoints inside one dyadic interval of length 2^-m
+        m = rng.randrange(10, 17)
+        # a short repeating pattern makes the common prefix overlap itself
+        period = rng.randrange(1, 5) if rng.random() < 0.7 else m
+        pattern = [rng.randrange(2) for _ in range(period)]
+        j = int("".join(str(pattern[i % period]) for i in range(m)), 2)
+        q = rng.randrange(3, 40)
+        u, v = sorted(rng.sample(range(1, q), 2))
+        holes.append(("prefix", Hole(F(j * q + u, q << m), F(j * q + v, q << m))))
+    for q in (509, 1019, 2003):  # thin holes with long-period endpoints
+        for _ in range(40):
+            k = rng.randrange(q // 4, q // 2)
+            holes.append(("thin", Hole(F(k, q), F(k + 1, q))))
+    for q in (M100, MIXED):  # denominators near 10^30
+        for _ in range(150):
+            p = rng.randrange(q // 4, q // 2)
+            holes.append(("huge", Hole(F(p, q), F(p + rng.randrange(1, q // 20), q))))
+    for _ in range(400):
+        holes.append(("random", random_hole(rng)))
+    return holes
+
+
+def test_transitions_match_shift_and_reference():
+    # fails if B reading 1 kills the 0-edge at 2 bmax >= qb (a B tail of 1/2
+    # reads 0), if the a_first tie is dropped, or if m0 and m1 trade places
+    holes = seeded_holes(random.Random(41))
+    assert len(holes) >= 2000
+    for _, hole in holes:
+        assert build_automaton(hole).transitions == reference_transitions(hole), hole
+    assert all(common_prefix_len(hole) >= 10 for shape, hole in holes if shape == "prefix")

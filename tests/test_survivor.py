@@ -575,6 +575,12 @@ def test_sigma_counts_match_transfer_matrix():
             assert sigma_n_matrix_word_count(n, length) == transfer_matrix_count(n, length)
 
 
+def test_sigma_count_rejects_negative_length():
+    assert sigma_n_matrix_word_count(2, 0) == 1
+    with pytest.raises(ValueError, match="-3"):
+        sigma_n_matrix_word_count(2, -3)
+
+
 def test_locate_entropy_transition_coarse():
     lo, hi = locate_entropy_transition(4)
     assert hi - lo <= F(1, 16)
