@@ -5,9 +5,10 @@ beyond the fixed point, finitely many isolated cycles, or a branching
 strongly connected component.  The three outcomes are decided graph-
 theoretically, never by comparing a float to zero.  Entropy is certified by
 exact Collatz-Wielandt bounds on the Perron root of the live adjacency
-matrix, cycles are enumerated independently of the automaton from primitive
-necklaces, and is_trap() decides interval trapping by exact recursion on the
-gaps whose points have not yet met the interval.
+matrix.  One scan over Lyndon words, independent of the automaton, lists the
+cycles that avoid an open hole and finds is_trap()'s escape witnesses;
+is_trap() decides interval trapping by exact recursion on the gaps whose
+points have not yet met the interval.
 """
 
 from __future__ import annotations
@@ -155,8 +156,11 @@ def entropy(auto: SurvivorAutomaton, tol: float = 1e-10) -> tuple[float, float]:
 
     Exactly (0.0, 0.0) when every strongly connected component is a single
     cycle; otherwise a bracket of width at most ``tol`` around log of the
-    Perron root of the live adjacency matrix.
+    Perron root of the live adjacency matrix.  ``tol`` must exceed 1e-12, as
+    the +-1e-13 float pad alone makes the bracket 2e-13 wide.
     """
+    if not tol > 1e-12:
+        raise ValueError(f"entropy tol must be above 1e-12, got {tol}")
     if not any(auto.live):
         raise ValueError("entropy undefined: automaton has no live states")
     branching, _ = _live_analysis(auto)
@@ -197,35 +201,37 @@ def classify(hole: Hole, max_states: int = 1_000_000,
     return Classification(Kind.FIXED_ONLY, (), zero_loop, 0.0, 0.0)
 
 
-def _primitive_necklaces(max_len: int):
-    """(word, rotations) for every primitive binary necklace of length at most
-    ``max_len``, written as its least rotation, by length then value.
+def _cycles_avoiding(inside, max_len: int):
+    """The cycles of length <= max_len with no point x where ``inside(x)``,
+    by length and least rotation, each as its largest rotation starting with 0.
 
-    The all-ones word is skipped: it codes the point 1, outside [0, 1).
+    Duval's rule lists each primitive necklace once as its least rotation w
+    (a Lyndon word): repeat w to length max_len, strip the trailing 1s, turn
+    the last 0 into a 1.  The last word, 1, codes 1, outside [0, 1): skipped.
+    The cycle's points are v 2^k mod (2^L - 1) over 2^L - 1, v = int(w, 2).
     """
-    for length in range(1, max_len + 1):
-        for k in range((1 << length) - 1):
-            w = format(k, f"0{length}b")
-            rots = [w[i:] + w[:i] for i in range(length)]
-            if w == min(rots) and len(set(rots)) == length:
-                yield w, rots
+    words, w = [], "0"
+    while max_len >= 1 and w != "1":
+        words.append(w)
+        w = (w * max_len)[:max_len].rstrip("1")[:-1] + "1"
+    for w in sorted(words, key=lambda w: (len(w), w)):
+        q, v = (1 << len(w)) - 1, int(w, 2)
+        points = [(v << k) % q for k in range(len(w))]
+        if not any(inside(Fraction(p, q)) for p in points):
+            yield format(max(p for p in points if 2 * p < q), f"0{len(w)}b")
 
 
 def enumerate_surviving_cycles(hole: Hole, max_len: int) -> list[str]:
     """All cycle codings of length <= max_len whose orbit avoids the open hole.
 
     One word per rotation class (largest rotation starting with 0), sorted by
-    length then value.  The all-ones word is skipped: it codes the point 1,
-    which is outside [0, 1).  Runtime grows like 2^max_len.
+    length then value.  The all-ones word is skipped: it codes 1, outside
+    [0, 1).  Runtime grows like the Lyndon-word count, about 2^max_len/max_len.
     """
     if max_len < 1:
         raise ValueError("max_len must be positive")
-    out = []
-    for w, rots in _primitive_necklaces(max_len):
-        den = (1 << len(w)) - 1
-        if all(not (hole.a < Fraction(int(r, 2), den) < hole.b) for r in rots):
-            out.append(_zero_max_rotation(w))
-    return sorted(out, key=lambda w: (len(w), w))
+    cycles = _cycles_avoiding(lambda x: hole.a < x < hole.b, max_len)
+    return sorted(cycles, key=lambda w: (len(w), w))
 
 
 def _sigma_n_chain(n: int) -> SurvivorAutomaton:
@@ -338,21 +344,18 @@ def is_trap(c: Fraction, d: Fraction, depth: int = 24, tol=Fraction(1, 10**6),
     if not 0 < c < d < 1:
         raise ValueError(f"need 0 < c < d < 1, got [{c}, {d}]")
     tol = Fraction(tol)
-    if depth < 0 or tol <= 0:
-        raise ValueError(f"need depth >= 0 and tol > 0, got {depth} and {tol}")
+    if min(depth, witness_max_len, max_intervals) < 0 or tol <= 0:
+        raise ValueError(f"need depth, witness_max_len, max_intervals >= 0 and tol > 0, "
+                         f"got {depth}, {witness_max_len}, {max_intervals} and {tol}")
 
-    for w, rots in _primitive_necklaces(witness_max_len):
-        if w == "0":
-            continue
-        den = (1 << len(w)) - 1
-        if all(not (c <= Fraction(int(r, 2), den) <= d) for r in rots):
-            return TrapReport(False, Fraction(1) - (d - c), _zero_max_rotation(w))
-    if not c <= Fraction(1, 2) <= d:
-        # the orbit of 1/2 is {1/2, 0, 0, ...} and never meets [c, d]
-        return TrapReport(False, Fraction(1) - (d - c), "1(0)")
+    residual = Fraction(1) - (d - c)
+    avoiding = _cycles_avoiding(lambda x: c <= x <= d, witness_max_len)
+    half_escapes = not c <= Fraction(1, 2) <= d  # the orbit 1/2, 0, 0, ... misses [c, d]
+    witness = next((w for w in avoiding if w != "0"), "1(0)" if half_escapes else None)
+    if witness is not None:
+        return TrapReport(False, residual, witness)
 
     gaps = [(Fraction(0), c), (d, Fraction(1))]
-    residual = Fraction(1) - (d - c)
     for _ in range(depth):
         pre = [(lo / 2, hi / 2) for lo, hi in gaps]
         pre += [((lo + 1) / 2, (hi + 1) / 2) for lo, hi in gaps]

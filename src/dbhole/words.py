@@ -185,11 +185,7 @@ class EvPeriodicWord:
         per = check_word(period)
         if not per:
             raise ValueError("period must be nonempty")
-        n = len(per)
-        for d in range(1, n + 1):
-            if n % d == 0 and per[:d] * (n // d) == per:
-                per = per[:d]
-                break
+        per = per[:(per + per).find(per, 1)]
         while pre and pre[-1] == per[-1]:
             pre = pre[:-1]
             per = per[-1] + per[:-1]

@@ -9,6 +9,7 @@ import pytest
 from dbhole.automaton import Hole, SurvivorAutomaton, build_automaton
 from dbhole.rationals import BudgetExceededError, lex_max_expansion, lex_min_expansion, pi_value
 from dbhole.words import EvPeriodicWord
+from oracles import peel_dead_ends, reference_transitions
 
 F = Fraction
 
@@ -244,29 +245,6 @@ def test_dump_is_deterministic_and_diffable():
     )
 
 
-def peel_dead_ends(trans):
-    """Reference liveness: remove states without successors until none is left."""
-    n = len(trans)
-    preds = [[] for _ in range(n)]
-    outdeg = [0] * n
-    for s, (t0, t1) in enumerate(trans):
-        for t in (t0, t1):
-            if t >= 0:
-                preds[t].append(s)
-                outdeg[s] += 1
-    alive = [d > 0 for d in outdeg]
-    stack = [s for s in range(n) if not alive[s]]
-    while stack:
-        dead = stack.pop()
-        for s in preds[dead]:
-            if alive[s]:
-                outdeg[s] -= sum(1 for t in trans[s] if t == dead)
-                if outdeg[s] == 0:
-                    alive[s] = False
-                    stack.append(s)
-    return alive
-
-
 def random_transitions(rng):
     """A 2-out table with self-loops, t0 == t1 pairs and dead chains."""
     n = rng.randrange(1, 25)
@@ -324,62 +302,6 @@ def test_state_budget_boundary(hole):
     message = re.escape(f"automaton for {hole} exceeds {n - 1} states")
     with pytest.raises(BudgetExceededError, match=message):
         build_automaton(hole, max_states=n - 1)
-
-
-def reference_transitions(hole):
-    """The Shift-And BFS that read both symbols in one loop per state, kept
-    as the reference for build_automaton's transitions (no state budget)."""
-    qa, qb = hole.a.denominator, hole.b.denominator
-    ca, cb = hole.a.numerator, hole.b.numerator
-
-    common = []
-    while (2 * ca >= qa) == (2 * cb > qb):
-        ch = int(2 * ca >= qa)
-        common.append(ch)
-        ca, cb = 2 * ca - ch * qa, 2 * cb - ch * qb
-    cstar = len(common)
-    a_first = 2 * ca
-    b_first = 2 * cb - qb
-
-    match = [0, 0]
-    for i, ch in enumerate(common):
-        match[ch] |= 1 << i
-    queue = [(0, -1, -1)]
-    ids = {queue[0]: 0}
-    trans = []
-    head = 0
-    while head < len(queue):
-        mask, amin, bmax = queue[head]
-        head += 1
-        mask |= 1
-        full = mask >> cstar & 1
-        na = int(2 * amin >= qa) if amin >= 0 else -1
-        nb = int(2 * bmax > qb) if bmax >= 0 else -1
-        row = [-1, -1]
-        for ch in (0, 1):
-            namin = a_first if full and not ch else -1
-            nbmax = b_first if full and ch else -1
-            if ch == na:
-                tail = 2 * amin - na * qa
-                if namin < 0 or tail < namin:
-                    namin = tail
-            elif na >= 0 and ch > na:
-                continue
-            if ch == nb:
-                tail = 2 * bmax - nb * qb
-                if tail > nbmax:
-                    nbmax = tail
-            elif ch < nb:
-                continue
-            nstate = ((mask & match[ch]) << 1, namin, nbmax)
-            nid = ids.get(nstate)
-            if nid is None:
-                nid = len(queue)
-                ids[nstate] = nid
-                queue.append(nstate)
-            row[ch] = nid
-        trans.append((row[0], row[1]))
-    return trans
 
 
 def common_prefix_len(hole):

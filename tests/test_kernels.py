@@ -1,33 +1,13 @@
-import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from dbhole import kernels
+from oracles import reference_counts
 
 F = Fraction
 HUGE = 10**30
-
-
-def reference_counts(depth, pa, qa, pb, qb):
-    """Direct Fraction transcription of the contract, for small depth."""
-    a, b = F(pa, qa), F(pb, qb)
-    lower = upper = 0
-    for bits in itertools.product((0, 1), repeat=depth):
-        disjoint = True
-        never_inside = True
-        for k in range(depth):
-            tail = bits[k:]
-            lo = F(sum(t << (len(tail) - 1 - i) for i, t in enumerate(tail)), 1 << len(tail))
-            hi = lo + F(1, 1 << len(tail))
-            if not (hi <= a or lo >= b):
-                disjoint = False
-            if a < lo and hi < b:
-                never_inside = False
-        lower += disjoint
-        upper += never_inside
-    return lower, upper
 
 
 @pytest.mark.parametrize("pa,qa,pb,qb", [

@@ -7,8 +7,15 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from dbhole.automaton import Hole  # noqa: E402
-from dbhole.survivor import _zero_max_rotation, classify, kind_rank  # noqa: E402
+from dbhole.automaton import Hole, build_automaton  # noqa: E402
+from dbhole.survivor import (  # noqa: E402
+    Kind,
+    _zero_max_rotation,
+    classify,
+    cylinder_counts,
+    enumerate_surviving_cycles,
+    kind_rank,
+)
 
 MAX_DEN = 32
 FRACTIONS = sorted({Fraction(k, q) for q in range(1, MAX_DEN + 1) for k in range(q + 1)})
@@ -36,6 +43,14 @@ def nested_holes(draw):
     return larger, Hole(c, d)
 
 
+@st.composite
+def central_holes(draw):
+    """A hole (a, b) with 1/3 <= a < 9/20 and 11/20 < b <= 2/3: mostly no
+    positive entropy, often asymmetric."""
+    a = draw(st.sampled_from([x for x in FRACTIONS if 1 / 3 <= x < 9 / 20]))
+    return Hole(a, draw(st.sampled_from([x for x in FRACTIONS if 11 / 20 < x <= 2 / 3])))
+
+
 @hypothesis.given(holes())
 def test_mirror_hole_has_mirrored_classification(hole):
     cls, mirrored = classify(hole), classify(hole.mirror())
@@ -51,3 +66,23 @@ def test_larger_hole_never_ranks_higher(pair):
     big, small = classify(larger), classify(smaller)
     assert kind_rank(big.kind) <= kind_rank(small.kind)
     assert big.entropy_lo <= small.entropy_hi
+
+
+@hypothesis.settings(max_examples=200)
+@hypothesis.given(st.one_of(holes(), central_holes()))
+# the cycle 01 passes through a, then through b
+@hypothesis.example(Hole(Fraction(1, 3), Fraction(3, 5)))
+@hypothesis.example(Hole(Fraction(2, 5), Fraction(2, 3)))
+def test_listed_cycles_match_necklace_enumeration(hole):
+    cls = classify(hole)
+    if cls.kind is Kind.POSITIVE_ENTROPY:
+        return
+    max_len = max((len(w) for w in cls.cycles), default=8)
+    listed = [w for w in enumerate_surviving_cycles(hole, max_len) if w != "0"]
+    assert tuple(listed) == cls.cycles
+
+
+@hypothesis.given(holes(), st.integers(1, 10))
+def test_path_counts_lie_inside_cylinder_counts(hole, depth):
+    lower, upper = cylinder_counts(hole, depth)
+    assert lower <= build_automaton(hole).count_paths(depth) <= upper

@@ -10,11 +10,10 @@ from dbhole.automaton import Hole, SurvivorAutomaton, build_automaton
 from dbhole.survivor import (
     Kind,
     TrapReport,
-    _certify_trapped,
     _graph_sccs,
     _live_analysis,
     _perron_bracket,
-    _primitive_necklaces,
+    _cycles_avoiding,
     _zero_max_rotation,
     classify,
     cylinder_counts,
@@ -25,6 +24,16 @@ from dbhole.survivor import (
     locate_entropy_transition,
     sigma_n_dimension,
     sigma_n_matrix_word_count,
+)
+from oracles import (
+    brute_sigma_count,
+    dense_perron_bracket,
+    dense_rows,
+    primitive_necklaces,
+    reference_is_trap,
+    reference_zero_max_rotation,
+    trap_by_automaton,
+    transfer_matrix_count,
 )
 
 F = Fraction
@@ -96,6 +105,23 @@ def test_entropy_requires_live_states():
         entropy(auto)
 
 
+def test_entropy_rejects_tol_at_the_float_floor():
+    # Fraction(1e-16).limit_denominator(10**15) is 0, so these ran the Perron
+    # loop to its iteration budget; 1e-13 gave a bracket 2.3e-13 wide
+    auto = build_automaton(Hole(F(21, 50), F(29, 50)))
+    for tol in (1e-16, 0, -1, 1e-13, 1e-12, float("nan")):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="1e-12"):
+            entropy(auto, tol=tol)
+        with pytest.raises(ValueError, match="1e-12"):
+            classify(Hole(F(21, 50), F(29, 50)), entropy_tol=tol)
+        with pytest.raises(ValueError, match="1e-12"):
+            sigma_n_dimension(2, tol=tol)
+        assert time.perf_counter() - start < 1
+    lo, hi = entropy(auto, tol=2e-12)
+    assert 0 < hi - lo <= 2e-12
+
+
 def test_entropy_zero_for_pure_cycles():
     auto = build_automaton(Hole(F(17, 50), F(33, 50)))
     assert entropy(auto) == (0.0, 0.0)
@@ -122,43 +148,6 @@ def test_classify_runs_tarjan_once(monkeypatch):
     assert classify(Hole(F(21, 50), F(29, 50))).kind is Kind.POSITIVE_ENTROPY
     assert len(calls) == 1
     assert in_entropy == [0]
-
-
-def dense_perron_bracket(rows, rel_tol, max_iter=200_000):
-    """Reference: the Perron bracket on a dense adjacency matrix, as it was
-    computed before successor lists replaced the rows."""
-    n = len(rows)
-    mat = [list(r) for r in rows]
-    for i in range(n):
-        mat[i][i] += 1
-    sparse = [[(j, c) for j, c in enumerate(row) if c] for row in mat]
-    x = [1] * n
-    best_lo = Fraction(0)
-    best_hi = None
-    for _ in range(max_iter):
-        y = [sum(c * x[j] for j, c in row) for row in sparse]
-        lo = min(Fraction(y[i], x[i]) for i in range(n))
-        hi = max(Fraction(y[i], x[i]) for i in range(n))
-        if lo > best_lo:
-            best_lo = lo
-        if best_hi is None or hi < best_hi:
-            best_hi = hi
-        if best_hi - best_lo <= rel_tol * best_lo:
-            return best_lo - 1, best_hi - 1
-        x = y
-        top = max(x)
-        if top.bit_length() > 300:
-            shift = top.bit_length() - 150
-            x = [max(1, v >> shift) for v in x]
-    raise AssertionError("reference bracket did not converge")
-
-
-def dense_rows(succ):
-    rows = [[0] * len(succ) for _ in succ]
-    for i, targets in enumerate(succ):
-        for j in targets:
-            rows[i][j] += 1
-    return rows
 
 
 def test_perron_bracket_matches_dense_reference():
@@ -231,13 +220,27 @@ def _mobius(n):
 
 def test_primitive_necklace_counts():
     counts = {}
-    for w, rots in _primitive_necklaces(12):
+    for w, rots in primitive_necklaces(12):
         assert w == min(rots) and len(set(rots)) == len(w)
         counts[len(w)] = counts.get(len(w), 0) + 1
+    scanned = {}
+    for w in _cycles_avoiding(lambda x: False, 12):
+        scanned[len(w)] = scanned.get(len(w), 0) + 1
     for n in range(1, 13):
         expected = sum(_mobius(d) * 2 ** (n // d) for d in range(1, n + 1) if n % d == 0) // n
-        assert counts[n] == expected - (n == 1)  # the all-ones word is skipped
-    assert [w for w, _ in _primitive_necklaces(1)] == ["0"]
+        assert counts[n] == expected
+        assert scanned[n] == expected - (n == 1)  # the all-ones word is skipped
+    assert [w for w, _ in primitive_necklaces(1)] == ["0", "1"]
+    assert list(_cycles_avoiding(lambda x: False, 1)) == ["0"]
+
+
+def test_cycle_scan_matches_necklace_filter():
+    # the scan keeps every cycle when no point is inside; the brute-force
+    # filter builds every rotation of all 2^L words
+    reference = [reference_zero_max_rotation(w) for w, _ in primitive_necklaces(14) if w != "1"]
+    for max_len in range(15):
+        want = [w for w in reference if len(w) <= max_len]
+        assert list(_cycles_avoiding(lambda x: False, max_len)) == want, max_len
 
 
 def test_graph_sccs_match_mutual_reachability():
@@ -267,15 +270,8 @@ def test_graph_sccs_match_mutual_reachability():
         assert live == [any(t in reach[t] for t in reach[s]) for s in range(n)]
 
 
-def reference_zero_max_rotation(w):
-    """The largest rotation beginning with 0, found among all rotations."""
-    rots = [w[i:] + w[:i] for i in range(len(w))]
-    zero_rots = [r for r in rots if r[0] == "0"]
-    return max(zero_rots) if zero_rots else min(rots)
-
-
 def test_zero_max_rotation_matches_reference():
-    words = [r for _, rots in _primitive_necklaces(12) for r in rots]
+    words = [r for w, rots in primitive_necklaces(12) if w != "1" for r in rots]
     assert len(words) == 8031
     for w in words:
         assert _zero_max_rotation(w) == reference_zero_max_rotation(w), w
@@ -381,66 +377,16 @@ def test_is_trap_rejects_negative_depth_and_nonpositive_tol():
     for tol in (0, -1):
         with pytest.raises(ValueError):
             is_trap(F(1, 3), F(2, 3), tol=tol)
+    for kwargs in ({"witness_max_len": -1}, {"max_intervals": -1}):
+        with pytest.raises(ValueError, match="-1"):
+            is_trap(F(1, 3), F(2, 3), **kwargs)
+    # zero is allowed: no witness search, or a stop after the first round
+    assert is_trap(F(9, 20), F(11, 20), depth=0).escape_witness is not None
+    assert is_trap(F(9, 20), F(11, 20), witness_max_len=0, depth=0) == TrapReport(None, F(9, 10), None)
+    assert is_trap(F(1, 3), F(2, 3), max_intervals=0).trapped is None
     # depth 0 runs the witness search alone
     assert is_trap(F(1, 3), F(2, 3), depth=0) == TrapReport(None, F(2, 3), None)
     assert is_trap(F(2, 5), F(9, 20), depth=0).escape_witness == "01"
-
-
-def reference_merge_intervals(ivs):
-    ivs.sort()
-    out = [ivs[0]]
-    for lo, hi in ivs[1:]:
-        if lo <= out[-1][1]:
-            if hi > out[-1][1]:
-                out[-1] = (out[-1][0], hi)
-        else:
-            out.append((lo, hi))
-    return out
-
-
-def reference_complement_gaps(union):
-    gaps = []
-    if union[0][0] > 0:
-        gaps.append((F(0), union[0][0]))
-    for (_, h1), (l2, _) in zip(union, union[1:]):
-        gaps.append((h1, l2))
-    if union[-1][1] < 1:
-        gaps.append((union[-1][1], F(1)))
-    return gaps
-
-
-def reference_is_trap(c, d, depth=24, tol=F(1, 10**6), witness_max_len=12,
-                      max_intervals=20_000, cutoffs=None):
-    """is_trap as it was before the gap recursion: grow the covered union of
-    preimages, sort-merge it and take its complement.  ``cutoffs`` counts
-    the runs stopped by ``max_intervals``."""
-    c, d = F(c), F(d)
-    tol = F(tol)
-    for w, rots in _primitive_necklaces(witness_max_len):
-        if w == "0":
-            continue
-        den = (1 << len(w)) - 1
-        if all(not (c <= F(int(r, 2), den) <= d) for r in rots):
-            return TrapReport(False, F(1) - (d - c), _zero_max_rotation(w))
-    if not c <= F(1, 2) <= d:
-        return TrapReport(False, F(1) - (d - c), "1(0)")
-    union = [(c, d)]
-    residual = F(1) - (d - c)
-    for _ in range(depth):
-        grown = list(union)
-        for lo, hi in union:
-            grown.append((lo / 2, hi / 2))
-            grown.append(((lo + 1) / 2, (hi + 1) / 2))
-        union = reference_merge_intervals(grown)
-        if len(union) > max_intervals:
-            if cutoffs is not None:
-                cutoffs.append((c, d))
-            break
-        gaps = reference_complement_gaps(union)
-        residual = sum((hi - lo for lo, hi in gaps), F(0))
-        if residual < tol and _certify_trapped(gaps):
-            return TrapReport(True, residual, None)
-    return TrapReport(None, residual, None)
 
 
 def test_is_trap_matches_union_reference():
@@ -484,24 +430,6 @@ def test_is_trap_long_period_endpoint_is_certified():
     assert time.perf_counter() - start < 1
 
 
-def trap_by_automaton(c, d):
-    """[c, d] is a trap iff it holds 1/2, the open hole (c, d) has no
-    branching survivor component, and every surviving cycle meets c or d."""
-    if not c <= F(1, 2) <= d:
-        return False
-    branching, cycle_words = _live_analysis(build_automaton(Hole(c, d)))
-    if branching:
-        return False
-    for w in cycle_words:
-        if w in ("0", "1"):
-            continue
-        den = (1 << len(w)) - 1
-        points = {F(int(w[i:] + w[:i], 2), den) for i in range(len(w))}
-        if c not in points and d not in points:
-            return False
-    return True
-
-
 def test_is_trap_agrees_with_automaton_criterion():
     rng = random.Random(32)
     decided = {True: 0, False: 0}
@@ -531,42 +459,10 @@ def test_sigma_dimensions():
     assert sigma_n_dimension(2) < sigma_n_dimension(1)
 
 
-def brute_sigma_count(n, length):
-    count = 0
-    stack = [""]
-    while stack:
-        w = stack.pop()
-        if len(w) == length:
-            count += 1
-            continue
-        for c in "01":
-            u = w + c
-            ok = all(
-                u[i] != "0" or all(u[i + j] == "1" for j in range(1, n + 1) if i + j < len(u))
-                for i in range(len(u))
-            )
-            if ok:
-                stack.append(u)
-    return count
-
-
 @pytest.mark.parametrize("n", [1, 2])
 def test_sigma_counts_match_bruteforce(n):
     for length in (8, 12):
         assert sigma_n_matrix_word_count(n, length) == brute_sigma_count(n, length)
-
-
-def transfer_matrix_count(n, length):
-    """Reference: sigma_n word count by the (n+1)-state transfer-matrix loop."""
-    vec = [1] + [0] * n
-    for _ in range(length):
-        nxt = [0] * (n + 1)
-        nxt[0] += vec[0]
-        nxt[n] += vec[0]
-        for k in range(1, n + 1):
-            nxt[k - 1] += vec[k]
-        vec = nxt
-    return sum(vec)
 
 
 def test_sigma_counts_match_transfer_matrix():
