@@ -28,8 +28,9 @@ constant work per state and edge, whatever the period.
 
 Liveness comes from the SCC condensation (Lind & Marcus, ch. 4): one Tarjan
 pass over the transitions yields the components with an internal edge, and
-a state is live exactly when it reaches one of them.  The automaton keeps
-those components, so classification runs no second graph pass.
+a state is live exactly when it reaches one of them, and tells a simple cycle
+from a branching component.  The automaton keeps the components with that
+flag, a cycle's states in cycle order, so classification walks no graph again.
 """
 
 from __future__ import annotations
@@ -68,12 +69,13 @@ class SurvivorAutomaton:
     missing edge.  ``live[s]`` marks states with an infinite outgoing path;
     infinite paths from the start state are exactly the surviving codings.
     ``components`` lists the strongly connected components with an internal
-    edge, in reverse topological order; every state on a cycle is in one.
+    edge, in reverse topological order, as (states, is_cycle) pairs; every
+    state on a cycle is in one.  A simple cycle lists its states in order.
     """
 
     transitions: list[tuple[int, int]]
     live: list[bool]
-    components: list[list[int]]
+    components: list[tuple[list[int], bool]]
     start: int = 0
     hole: Hole | None = None
 
@@ -129,9 +131,10 @@ class SurvivorAutomaton:
         return "\n".join(lines) + "\n"
 
 
-def _graph_sccs(succ) -> tuple[list[list[int]], list[bool]]:
-    """Strongly connected components with an internal edge, and per node
-    whether an infinite path starts there (iterative Tarjan).
+def _graph_sccs(succ) -> tuple[list[tuple[list[int], bool]], list[bool]]:
+    """(nodes, is_cycle) for each strongly connected component with an
+    internal edge, and per node whether an infinite path starts there
+    (iterative Tarjan).
 
     ``succ[s]`` lists the successors of s; a negative entry is no edge, so
     automaton transitions are valid input.  Tarjan emits components in
@@ -139,7 +142,10 @@ def _graph_sccs(succ) -> tuple[list[list[int]], list[bool]]:
     in one emitted before.  So a component is live, as it is emitted, when it
     has an internal edge or an edge into a live component.  An emitted node's
     index becomes n + (its component's root): above every DFS index, so it
-    lowers no low-link, and equal across the component.
+    lowers no low-link, and equal across the component.  Each of its nodes
+    has an internal edge, so it is a simple cycle exactly when it has as many
+    internal edges as nodes (a repeated successor entry counts twice); a
+    cycle is then walked into order from its first popped node.
     """
     n = len(succ)
     index = [-1] * n
@@ -183,16 +189,20 @@ def _graph_sccs(succ) -> tuple[list[list[int]], list[bool]]:
                         comp.append(t)
                         if t == s:
                             break
-                    internal = alive = False
+                    internal, alive = 0, False
                     for t in comp:
                         for u in succ[t]:
                             if u >= 0:
                                 if index[u] == tag:
-                                    internal = True
+                                    internal += 1
                                 elif live[u]:
                                     alive = True
+                    if internal == len(comp):
+                        for i in range(1, len(comp)):
+                            comp[i] = next(u for u in succ[comp[i - 1]]
+                                           if u >= 0 and index[u] == tag)
                     if internal:
-                        comps.append(comp)
+                        comps.append((comp, internal == len(comp)))
                     if internal or alive:
                         for t in comp:
                             live[t] = True

@@ -1,14 +1,14 @@
 """Classification and measurement of survivor sets.
 
-classify() reads the structure of the live survivor automaton: no cycle
-beyond the fixed point, finitely many isolated cycles, or a branching
-strongly connected component.  The three outcomes are decided graph-
-theoretically, never by comparing a float to zero.  Entropy is certified by
-exact Collatz-Wielandt bounds on the Perron root of the live adjacency
-matrix.  One scan over Lyndon words, independent of the automaton, lists the
-cycles that avoid an open hole and finds is_trap()'s escape witnesses;
-is_trap() decides interval trapping by exact recursion on the gaps whose
-points have not yet met the interval.
+classify() reads the component flags of the live survivor automaton: no
+cycle beyond the fixed point, finitely many isolated cycles (each word read
+along its states), or a branching strongly connected component.  The three
+outcomes are decided graph-theoretically, never by comparing a float to
+zero.  Entropy is certified by exact Collatz-Wielandt bounds on the Perron
+root of the live adjacency matrix.  One scan over Lyndon words, independent
+of the automaton, lists the cycles that avoid an open hole and finds
+is_trap()'s escape witnesses; is_trap() decides interval trapping by exact
+recursion on the gaps whose points have not yet met the interval.
 """
 
 from __future__ import annotations
@@ -107,48 +107,9 @@ def _perron_bracket(succ: list[list[int]], rel_tol: Fraction,
     )
 
 
-def _live_analysis(auto: SurvivorAutomaton):
-    """(branching SCC node lists, simple-cycle words) of the automaton's
-    components with an internal edge, all of them live.
-
-    A component is a simple cycle when every state has exactly one successor
-    inside it; the walk from its first state reads the cycle word and stops
-    at the first state with both successors inside.  A walk that closes
-    before it has met every state also means a branching component.
-    """
-    trans = auto.transitions
-    branching_comps = []
-    cycle_words = []
-    for comp in auto.components:
-        first = comp[0]
-        if len(comp) == 1:
-            # the state loops on itself, on one symbol or on both
-            t0, t1 = trans[first]
-            if t0 == t1:
-                branching_comps.append(comp)
-            else:
-                cycle_words.append("0" if t0 == first else "1")
-            continue
-        inside = set(comp)
-        word = []
-        s = first
-        while True:
-            t0, t1 = trans[s]
-            if t0 in inside:
-                if t1 in inside:
-                    break
-                word.append("0")
-                s = t0
-            else:
-                word.append("1")
-                s = t1
-            if s == first:
-                break
-        if len(word) == len(comp):
-            cycle_words.append("".join(word))
-        else:
-            branching_comps.append(comp)
-    return branching_comps, cycle_words
+def _check_entropy_tol(tol) -> None:
+    if not 1e-12 < tol < math.inf:
+        raise ValueError(f"entropy tol must be finite and above 1e-12, got {tol}")
 
 
 def entropy(auto: SurvivorAutomaton, tol: float = 1e-10) -> tuple[float, float]:
@@ -156,14 +117,13 @@ def entropy(auto: SurvivorAutomaton, tol: float = 1e-10) -> tuple[float, float]:
 
     Exactly (0.0, 0.0) when every strongly connected component is a single
     cycle; otherwise a bracket of width at most ``tol`` around log of the
-    Perron root of the live adjacency matrix.  ``tol`` must exceed 1e-12, as
-    the +-1e-13 float pad alone makes the bracket 2e-13 wide.
+    Perron root of the live adjacency matrix.  ``tol`` must be finite and
+    exceed 1e-12, as the +-1e-13 float pad alone makes the bracket 2e-13 wide.
     """
-    if not tol > 1e-12:
-        raise ValueError(f"entropy tol must be above 1e-12, got {tol}")
+    _check_entropy_tol(tol)
     if not any(auto.live):
         raise ValueError("entropy undefined: automaton has no live states")
-    branching, _ = _live_analysis(auto)
+    branching = [states for states, is_cycle in auto.components if not is_cycle]
     if not branching:
         return (0.0, 0.0)
     rel = Fraction(tol).limit_denominator(10**15) / 4
@@ -183,15 +143,20 @@ def entropy(auto: SurvivorAutomaton, tol: float = 1e-10) -> tuple[float, float]:
 def classify(hole: Hole, max_states: int = 1_000_000,
              entropy_tol: float = 1e-10) -> Classification:
     """Exact classification of the survivor set of an open hole."""
+    _check_entropy_tol(entropy_tol)
     auto = build_automaton(hole, max_states=max_states)
-    branching, cycle_words = _live_analysis(auto)
     # the 0-loop state may sit inside a branching component (points can jump
     # across a hole with 2a >= b), so look for the self-loop itself
     zero_loop = any(live and auto.transitions[s][0] == s
                     for s, live in enumerate(auto.live))
-    if branching:
+    if not all(is_cycle for _, is_cycle in auto.components):
         lo, hi = entropy(auto, tol=entropy_tol)
         return Classification(Kind.POSITIVE_ENTROPY, (), zero_loop, lo, hi)
+    # every component is a simple cycle; a state reads 0 if its 0-edge goes to the next
+    trans = auto.transitions
+    cycle_words = ["".join("0" if trans[s][0] == t else "1"
+                           for s, t in zip(states, states[1:] + states[:1]))
+                   for states, _ in auto.components]
     nontrivial = sorted(
         {_zero_max_rotation(w) for w in cycle_words if w not in ("0", "1")},
         key=lambda w: (len(w), w),
@@ -307,22 +272,12 @@ def _certify_trapped(gaps: list[tuple[Fraction, Fraction]]) -> bool:
     if n and gaps[-1][1] == 1 and gaps[-1][0] >= half:
         succ[-1] = [j for j in succ[-1] if j != n - 1]
 
-    for comp in _graph_sccs(succ)[0]:
-        compset = set(comp)
-        internal = {s: [t for t in succ[s] if t in compset] for s in comp}
-        if any(len(v) != 1 for v in internal.values()):
+    for comp, is_cycle in _graph_sccs(succ)[0]:
+        if not is_cycle or any(branch[s] is None for s in comp):
             return False
-        if any(branch[s] is None for s in comp):
-            return False
-        mul, add = 1, Fraction(0)
-        s = comp[0]
-        while True:
-            mul *= 2
-            add = 2 * add - branch[s]
-            s = internal[s][0]
-            if s == comp[0]:
-                break
-        fixed = -add / (mul - 1)
+        # the return map's fixed point is the point coded by the cycle's branches
+        word = "".join(str(branch[s]) for s in comp)
+        fixed = Fraction(int(word, 2), (1 << len(comp)) - 1)
         if any(gaps[t][0] < fixed < gaps[t][1] for t in comp):
             return False
     return True

@@ -10,6 +10,7 @@ fast path (``dbhole``)         oracle                       test
 build_automaton transitions    reference_transitions        test_transitions_match_shift_and_reference
 SurvivorAutomaton.live         peel_dead_ends               test_live_flags_match_dead_end_peeling
 *test_survivor.py*
+_graph_sccs (is_cycle, order)  reachability sets (inline)   test_graph_sccs_match_mutual_reachability
 survivor._perron_bracket       dense_perron_bracket         test_perron_bracket_matches_dense_reference
 survivor._zero_max_rotation    reference_zero_max_rotation  test_zero_max_rotation_matches_reference
 survivor._cycles_avoiding      primitive_necklaces          test_cycle_scan_matches_necklace_filter,
@@ -25,14 +26,15 @@ kernels.cylinder_counts        reference_counts             test_pure_kernel_mat
 
 ``reference_is_trap`` finds its escape witnesses with the brute-force
 necklace filter, not with the Lyndon-word scan it checks, and
-``trap_by_automaton`` decides traps from the automaton alone.
+``trap_by_automaton`` decides traps from the automaton alone: from its
+components' cycle flags and the words read along their cycle order.
 """
 
 import itertools
 from fractions import Fraction
 
 from dbhole.automaton import Hole, build_automaton
-from dbhole.survivor import TrapReport, _certify_trapped, _live_analysis
+from dbhole.survivor import TrapReport, _certify_trapped
 
 F = Fraction
 
@@ -235,10 +237,13 @@ def trap_by_automaton(c, d):
     branching survivor component, and every surviving cycle meets c or d."""
     if not c <= F(1, 2) <= d:
         return False
-    branching, cycle_words = _live_analysis(build_automaton(Hole(c, d)))
-    if branching:
-        return False
-    for w in cycle_words:
+    auto = build_automaton(Hole(c, d))
+    for states, is_cycle in auto.components:
+        if not is_cycle:
+            return False
+        # a state reads 0 if its 0-edge leads to the next state of the cycle
+        w = "".join("0" if auto.transitions[s][0] == t else "1"
+                    for s, t in zip(states, states[1:] + states[:1]))
         if w in ("0", "1"):
             continue
         den = (1 << len(w)) - 1

@@ -11,7 +11,6 @@ from dbhole.survivor import (
     Kind,
     TrapReport,
     _graph_sccs,
-    _live_analysis,
     _perron_bracket,
     _cycles_avoiding,
     _zero_max_rotation,
@@ -107,14 +106,19 @@ def test_entropy_requires_live_states():
 
 def test_entropy_rejects_tol_at_the_float_floor():
     # Fraction(1e-16).limit_denominator(10**15) is 0, so these ran the Perron
-    # loop to its iteration budget; 1e-13 gave a bracket 2.3e-13 wide
+    # loop to its iteration budget; 1e-13 gave a bracket 2.3e-13 wide, and
+    # inf raised OverflowError from Fraction(inf)
     auto = build_automaton(Hole(F(21, 50), F(29, 50)))
-    for tol in (1e-16, 0, -1, 1e-13, 1e-12, float("nan")):
+    # classify rejects the tol whatever the hole's kind
+    holes = [Hole(F(3, 10), F(7, 10)), Hole(F(17, 50), F(33, 50)), Hole(F(21, 50), F(29, 50))]
+    assert [classify(hole).kind for hole in holes] == list(Kind)
+    for tol in (1e-16, 0, -1, 1e-13, 1e-12, float("nan"), float("inf"), float("-inf")):
         start = time.perf_counter()
         with pytest.raises(ValueError, match="1e-12"):
             entropy(auto, tol=tol)
-        with pytest.raises(ValueError, match="1e-12"):
-            classify(Hole(F(21, 50), F(29, 50)), entropy_tol=tol)
+        for hole in holes:
+            with pytest.raises(ValueError, match="1e-12"):
+                classify(hole, entropy_tol=tol)
         with pytest.raises(ValueError, match="1e-12"):
             sigma_n_dimension(2, tol=tol)
         assert time.perf_counter() - start < 1
@@ -160,7 +164,7 @@ def test_perron_bracket_matches_dense_reference():
         if not a < b:
             continue
         auto = build_automaton(Hole(a, b))
-        for comp in _live_analysis(auto)[0]:
+        for comp in [states for states, is_cycle in auto.components if not is_cycle]:
             idx = {s: i for i, s in enumerate(comp)}
             graphs.append([[idx[t] for t in auto.transitions[s] if t in idx] for s in comp])
     # built automata never carry parallel edges (the 0- and 1-successors of
@@ -245,11 +249,25 @@ def test_cycle_scan_matches_necklace_filter():
 
 def test_graph_sccs_match_mutual_reachability():
     rng = random.Random(23)
+    graphs = []
     for n in range(1, 31):
         density = rng.random() * 3 / n
         # a negative entry is no edge
-        succ = [[t if rng.random() < 0.8 else -1 for t in range(n) if rng.random() < density]
-                for _ in range(n)]
+        graphs.append([[t if rng.random() < 0.8 else -1
+                        for t in range(n) if rng.random() < density] for _ in range(n)])
+    # a repeated successor entry, as in the trap gap graph, is a doubled edge
+    doubled = [[[0, 0]], [[1, 1], [0]], [[1], [2, 2], [0]], [[1, -1, 1], [0]]]
+    for succ in doubled:
+        assert [is_cycle for _, is_cycle in _graph_sccs(succ)[0]] == [False], succ
+    graphs += doubled
+    rng = random.Random(24)
+    for n in range(1, 21):
+        density = rng.random() * 2 / n
+        graphs.append([[t for t in range(n) if rng.random() < density
+                        for _ in range(rng.choice((1, 1, 2)))] for _ in range(n)])
+    shapes = set()
+    for succ in graphs:
+        n = len(succ)
         # reach[s]: nodes at the end of a path of one or more edges from s
         reach = []
         for s in range(n):
@@ -261,13 +279,21 @@ def test_graph_sccs_match_mutual_reachability():
                         todo.append(t)
             reach.append(seen)
         cyclic = [s for s in range(n) if s in reach[s]]
-        comps, live = _graph_sccs(succ)
+        pairs, live = _graph_sccs(succ)
+        comps = [comp for comp, _ in pairs]
         assert sorted(s for comp in comps for s in comp) == cyclic
         for comp in comps:
             assert set(comp) == {t for t in reach[comp[0]] if comp[0] in reach[t]}
         for i, comp in enumerate(comps):  # reverse topological order
             assert not any(t in reach[comp[0]] for later in comps[i + 1:] for t in later)
         assert live == [any(t in reach[t] for t in reach[s]) for s in range(n)]
+        for comp, is_cycle in pairs:
+            inside = [[t for t in succ[s] if t in comp] for s in comp]
+            assert is_cycle == all(len(ts) == 1 for ts in inside), succ
+            if is_cycle:  # each state's successor is the next one, wrapping round
+                assert inside == [[t] for t in comp[1:] + comp[:1]], succ
+            shapes.add(is_cycle)
+    assert shapes == {True, False}
 
 
 def test_zero_max_rotation_matches_reference():
@@ -356,6 +382,16 @@ def test_is_trap_narrow_interval_has_cycle_witness():
     report = is_trap(F(9, 20), F(11, 20))
     assert report.trapped is False
     assert report.escape_witness is not None
+
+
+def test_trap_certificate_refuses_a_surviving_gap_cycle():
+    # the cycle 01 (1/3, 2/3) avoids [7/20, 9/14]; with no witness search the
+    # residual drops below tol, and only the fixed point of the gap cycle's
+    # return map, a point of that cycle, keeps the certificate from passing
+    for depth in (4, 12):
+        report = is_trap(F(7, 20), F(9, 14), depth=depth, tol=F(1, 10), witness_max_len=0)
+        assert report.trapped is None and report.residual_measure < F(1, 10)
+    assert is_trap(F(7, 20), F(9, 14)).escape_witness == "01"
 
 
 def test_is_trap_interval_missing_one_half():
