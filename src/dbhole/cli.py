@@ -1,9 +1,12 @@
 """Command-line interface.
 
 Subcommands: classify, scan, bisect-astar, catalog, trap, word, sturmian,
-supercritical-test.  Rationals print exactly as "p/q", floats with 12 significant
-digits; output is byte-deterministic for fixed inputs.  Exit codes: 0 success,
-2 argument error, 3 iteration, state or expansion budget exceeded.
+supercritical-test.  Each command returns its payload: a dict or list, which
+`main` prints as indented JSON, or a str (the scan CSV, a word), printed as it
+is.  `main` is the one writer: to `--out PATH` if given, else to stdout.
+Rationals print exactly as "p/q", floats with 12 significant digits; output is
+byte-deterministic for fixed inputs.  Exit codes: 0 success, 2 argument error
+or unwritable `--out`, 3 iteration, state or expansion budget exceeded.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 
 from .automaton import Hole
@@ -48,23 +52,13 @@ def _endpoint_json(x):
     return format_fraction(x)
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> dict:
     hole = Hole(parse_fraction(args.a), parse_fraction(args.b))
     result = classify(hole)
-    _emit(json.dumps(_classification_json(result), indent=2, sort_keys=True) + "\n",
-          args.out)
-    return 0
+    return _classification_json(result)
 
 
-def _cmd_scan(args) -> int:
+def _cmd_scan(args) -> str:
     a_min = parse_fraction(args.a_min)
     a_max = parse_fraction(args.a_max)
     m = args.grid_bits
@@ -84,20 +78,17 @@ def _cmd_scan(args) -> int:
             format_fraction(a), c.kind.value, _fmt_float(c.entropy_lo),
             _fmt_float(c.entropy_hi), _fmt_float(c.dimension),
         ]))
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines)
 
 
-def _cmd_bisect_astar(args) -> int:
+def _cmd_bisect_astar(args) -> dict:
     if not 1 <= args.precision <= MAX_BISECT_PRECISION:
         raise ValueError(f"precision must be in 1..{MAX_BISECT_PRECISION}")
     lo, hi = locate_entropy_transition(args.precision)
-    _emit(json.dumps({"lo": format_fraction(lo), "hi": format_fraction(hi)},
-                     indent=2, sort_keys=True) + "\n", args.out)
-    return 0
+    return {"lo": format_fraction(lo), "hi": format_fraction(hi)}
 
 
-def _cmd_catalog(args) -> int:
+def _cmd_catalog(args) -> list:
     sturmians = [tuple(int(t) for t in digits.split(",")) for digits in args.sturmian]
     entries = catalog(args.max_q, sturmian_samples=sturmians,
                       degenerate_samples=args.degenerate_samples)
@@ -105,7 +96,7 @@ def _cmd_catalog(args) -> int:
     if args.certify:
         for entry in entries:
             certify_entry(entry, epsilon)
-    payload = [{
+    return [{
         "family": e.family,
         "left": _endpoint_json(e.left),
         "right": _endpoint_json(e.right),
@@ -113,23 +104,19 @@ def _cmd_catalog(args) -> int:
         "certified": e.certified,
         "epsilon": format_fraction(e.epsilon) if e.epsilon is not None else None,
     } for e in entries]
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
-    return 0
 
 
-def _cmd_trap(args) -> int:
+def _cmd_trap(args) -> dict:
     report = is_trap(parse_fraction(args.c), parse_fraction(args.d),
                      depth=args.depth, tol=parse_fraction(args.tol))
-    payload = {
+    return {
         "trapped": report.trapped,
         "residual_measure": format_fraction(report.residual_measure),
         "escape_witness": report.escape_witness,
     }
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
-    return 0
 
 
-def _cmd_word(args) -> int:
+def _cmd_word(args) -> str:
     if args.kind == "standard":
         cf = tuple(int(t) for t in args.entries)
         if not cf:
@@ -146,17 +133,14 @@ def _cmd_word(args) -> int:
         if not args.entries:
             raise ValueError("thue-morse needs a length")
         text = thue_morse(int(args.entries[0]))
-    if args.json:
-        _emit(json.dumps({"word": text}) + "\n", args.out)
-    else:
-        _emit(text + "\n", args.out)
-    return 0
+    # --json keeps its one-line form, unlike the indented JSON of dicts
+    return json.dumps({"word": text}) if args.json else text
 
 
-def _cmd_sturmian(args) -> int:
+def _cmd_sturmian(args) -> dict:
     cf = tuple(int(t) for t in args.cf.split(","))
     hole = sturmian_hole(cf, args.precision_bits)
-    payload = {
+    return {
         "cf_prefix": list(hole.cf_prefix),
         "left": _endpoint_json(hole.left),
         "right": _endpoint_json(hole.right),
@@ -164,21 +148,17 @@ def _cmd_sturmian(args) -> int:
         "right_float": _fmt_float(float((hole.right[0] + hole.right[1]) / 2)),
         "precision_bits": hole.precision_bits,
     }
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
-    return 0
 
 
-def _cmd_supercritical_test(args) -> int:
+def _cmd_supercritical_test(args) -> dict:
     report = test_supercritical(parse_fraction(args.a), parse_fraction(args.b),
                                 parse_fraction(args.epsilon))
-    payload = {
+    return {
         "outer": _classification_json(report.outer),
         "inner": _classification_json(report.inner),
         "epsilon": format_fraction(report.epsilon),
         "pass": report.passed,
     }
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
-    return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -191,20 +171,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="classify the survivor set of a hole")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("scan", help="classification scan over symmetric holes (a, 1-a)")
     p.add_argument("a_min")
     p.add_argument("a_max")
     p.add_argument("grid_bits", type=int, help="grid step 2^-N")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("bisect-astar",
                        help="bracket the positive-entropy transition of (a, 1-a)")
     p.add_argument("--precision", type=int, required=True, help="bracket width 2^-N")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_bisect_astar)
 
     p = sub.add_parser("catalog", help="emit the supercritical-hole catalog")
@@ -214,7 +191,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degenerate-samples", type=int, default=9)
     p.add_argument("--sturmian", action="append", default=[],
                    metavar="CF", help="comma-separated slope digits; repeatable")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_catalog)
 
     p = sub.add_parser("trap", help="decide whether [c, d] is a trap")
@@ -222,7 +198,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("d")
     p.add_argument("--depth", type=int, default=24)
     p.add_argument("--tol", default="1/1000000")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_trap)
 
     p = sub.add_parser("word", help="word generators")
@@ -232,22 +207,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=int)
     p.add_argument("--no-extend", action="store_true")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_word)
 
     p = sub.add_parser("sturmian", help="bracket a Sturmian hole")
     p.add_argument("--cf", required=True, help="comma-separated slope digits")
     p.add_argument("--precision-bits", type=int, default=30, dest="precision_bits")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_sturmian)
 
     p = sub.add_parser("supercritical-test", help="empirical supercriticality check")
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("--epsilon", default="1/1024")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_supercritical_test)
 
+    for p in sub.choices.values():
+        p.add_argument("--out")
     return parser
 
 
@@ -255,7 +229,11 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        payload = args.func(args)
+        if not isinstance(payload, str):
+            payload = json.dumps(payload, indent=2, sort_keys=True)
+        with open(args.out, "w") if args.out else nullcontext(sys.stdout) as fh:
+            fh.write(payload + "\n")
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if exc.partial is not None:
@@ -267,9 +245,10 @@ def main(argv=None) -> int:
             except (TypeError, ValueError):
                 pass
         return 3
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

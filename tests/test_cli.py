@@ -1,5 +1,8 @@
+import hashlib
 import json
 from fractions import Fraction
+
+import pytest
 
 from dbhole.cli import main
 
@@ -121,7 +124,7 @@ def test_expansion_budget_exits_3(capsys):
     assert out == ""
 
 
-def test_budget_exhaustion_exits_3(capsys, monkeypatch):
+def test_budget_exhaustion_exits_3(capsys, monkeypatch, tmp_path):
     from fractions import Fraction
     from dbhole.rationals import BudgetExceededError
     import dbhole.cli as cli
@@ -135,6 +138,11 @@ def test_budget_exhaustion_exits_3(capsys, monkeypatch):
     assert code == 3
     assert "budget" in err
     assert json.loads(out) == {"partial_lo": "3/8", "partial_hi": "7/16"}
+    # the one-line partial answer goes to stdout even with --out
+    target = tmp_path / "never.json"
+    assert run(capsys, "bisect-astar", "--precision", "12",
+               "--out", str(target)) == (3, out, err)
+    assert not target.exists()
 
 
 def test_catalog_with_sturmian_bracket(capsys):
@@ -221,3 +229,62 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["kind"] == "CountableCycles"
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "classify", "1/3", "2/3", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(target) in err
+    assert "Traceback" not in err
+
+
+# sha256 of the stdout of every README command line, plus a few more
+GOLDEN = [
+    ("classify 17/50 33/50",
+     "13687e0a832f411d1ba9b906fa2c2c78b988459867fd570fc5e81702020151fd"),
+    ("scan 1/4 29/64 6",
+     "5b62d273f157654a18c0b4584ea6489954deb041b039dbdf525c41728c5e79e3"),
+    ("bisect-astar --precision 16",
+     "e2f64cbf0f2b16e5acce16984c74b10703326ba7a975a1ba3ed5c75da1fe5db1"),
+    ("catalog --max-q 7 --certify",
+     "953486cc94406fb81d1a6772eead36bfd9425cae3f7e5b2eb32d1adef700abf4"),
+    ("trap 1/3 2/3 --depth 20 --tol 1/1000",
+     "0baeb861cd374e6e2512acc00e6f32e1031c11a711183ac7916c3d264b9f5ca1"),
+    ("word standard 1 2",
+     "3cd0a3e1a887d61f33db5cc90a2e7b284404bd288f6af7669a8dfcb21da1c18c"),
+    ("word characteristic --cf 1,1,1,1,1,1,1 --length 21",
+     "de2d2e0e603297be98d43cf5821d8f1b205b332bfc1a3772a30e0ac175116927"),
+    ("word thue-morse 16",
+     "0cf652401e54967a2b3567a2f29867363450fba2fe745e3c65f4252e34e77812"),
+    ("sturmian --cf 1,1,1,1,1,1,1 --precision-bits 30",
+     "cf93ebb7e0ba9547f9f7956df8ddf37d831f74b117c38a366db4b138c3093a91"),
+    ("supercritical-test 2/7 15/28 --epsilon 1/1024",
+     "53bb2e8597035c59d38c2208ee026edac90410578cafb6199fbf59b3263f019d"),
+    ("word thue-morse 8 --json",
+     "1643170e7264c4ad2fc1e2dfac457eaeb0f5bc74495f4a2c93645e0571262919"),
+    ("trap 1/3 2/3 --depth 2",
+     "b657a8900a794712f8bcdd1eab0f3462d92c7ac39207617068be4da1ccf93466"),
+]
+
+
+@pytest.mark.parametrize("line,digest", GOLDEN, ids=[line for line, _ in GOLDEN])
+def test_golden_stdout(capsys, line, digest):
+    code, out, err = run(capsys, *line.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("line", [
+    "classify 17/50 33/50", "scan 1/4 3/8 4", "bisect-astar --precision 4",
+    "catalog --max-q 3", "trap 2/5 9/20", "word thue-morse 8",
+    "word thue-morse 8 --json", "sturmian --cf 1,1,1",
+    "supercritical-test 2/7 15/28",
+])
+def test_out_file_holds_the_stdout_bytes(tmp_path, capsys, line):
+    target = tmp_path / "out"
+    _, printed, _ = run(capsys, *line.split())
+    code, out, err = run(capsys, *line.split(), "--out", str(target))
+    assert (code, out, err) == (0, "", "")
+    assert target.read_text() == printed

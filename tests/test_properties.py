@@ -37,11 +37,14 @@ def holes(draw):
 
 @st.composite
 def nested_holes(draw):
-    """(larger, smaller) with the smaller hole inside the larger one."""
+    """(larger, smaller) with each end of the larger hole moved inward by 0-3
+    steps of FRACTIONS, so the smaller hole is often still below
+    PositiveEntropy."""
     larger = draw(st.one_of(holes(), central_holes()))
-    c = draw(st.sampled_from([x for x in FRACTIONS if larger.a <= x < larger.b]))
-    d = draw(st.sampled_from([x for x in FRACTIONS if c < x <= larger.b]))
-    return larger, Hole(c, d)
+    i, j = FRACTIONS.index(larger.a), FRACTIONS.index(larger.b)
+    i += draw(st.integers(0, min(3, j - i - 1)))
+    j -= draw(st.integers(0, min(3, j - i - 1)))
+    return larger, Hole(FRACTIONS[i], FRACTIONS[j])
 
 
 @st.composite
@@ -98,3 +101,14 @@ def test_entropy_lies_below_path_count_growth(hole):
     auto = build_automaton(hole)
     for n in range(1, 25):
         assert cls.entropy_lo <= math.log(auto.count_paths(n, live_only=True)) / n, n
+
+
+@hypothesis.given(holes())
+def test_path_counts_are_submultiplicative(hole):
+    # a survivor word of length m + n splits into survivor words of lengths
+    # m and n (the language is factor-closed), so N(m + n) <= N(m) N(n)
+    auto = build_automaton(hole)
+    counts = [auto.count_paths(n, live_only=True) for n in range(25)]
+    for m in range(1, 13):
+        for n in range(1, 13):
+            assert counts[m + n] <= counts[m] * counts[n], (m, n)
