@@ -67,7 +67,7 @@ class SurvivorAutomaton:
 
     ``transitions[s]`` is a pair (target on 0, target on 1) with -1 for a
     missing edge.  ``live[s]`` marks states with an infinite outgoing path;
-    infinite paths from the start state are exactly the surviving codings.
+    infinite paths from the start state 0 are exactly the surviving codings.
     ``components`` lists the strongly connected components with an internal
     edge, in reverse topological order, as (states, is_cycle) pairs; every
     state on a cycle is in one.  A simple cycle lists its states in order.
@@ -76,14 +76,13 @@ class SurvivorAutomaton:
     transitions: list[tuple[int, int]]
     live: list[bool]
     components: list[tuple[list[int], bool]]
-    start: int = 0
     hole: Hole | None = None
 
     @classmethod
-    def from_transitions(cls, transitions, start: int = 0) -> "SurvivorAutomaton":
+    def from_transitions(cls, transitions) -> "SurvivorAutomaton":
         trans = [tuple(t) for t in transitions]
         comps, live = _graph_sccs(trans)
-        return cls(trans, live, comps, start)
+        return cls(trans, live, comps)
 
     @property
     def n_states(self) -> int:
@@ -98,7 +97,7 @@ class SurvivorAutomaton:
         """
         if length < 0:
             raise ValueError(f"length must be >= 0, got {length}")
-        vec = {self.start: 1}
+        vec = {0: 1}
         for _ in range(length):
             nxt: dict[int, int] = {}
             for s, c in vec.items():
@@ -112,7 +111,7 @@ class SurvivorAutomaton:
 
     def accepts(self, word: str) -> bool:
         """Is the finite word the label of a path from the start state?"""
-        s = self.start
+        s = 0
         for ch in word:
             s = self.transitions[s][int(ch)]
             if s < 0:
@@ -121,7 +120,7 @@ class SurvivorAutomaton:
 
     def dump(self) -> str:
         """Deterministic text form: one "state symbol -> state" line per edge."""
-        lines = [f"states: {self.n_states}", f"start: {self.start}"]
+        lines = [f"states: {self.n_states}", "start: 0"]
         lines.append("live: " + " ".join(str(s) for s in range(self.n_states) if self.live[s]))
         for s, (t0, t1) in enumerate(self.transitions):
             if t0 >= 0:
@@ -280,4 +279,4 @@ def build_automaton(hole: Hole, max_states: int = 1_000_000) -> SurvivorAutomato
         if n > max_states:
             raise BudgetExceededError(f"automaton for {hole} exceeds {max_states} states")
     comps, live = _graph_sccs(trans)
-    return SurvivorAutomaton(trans, live, comps, 0, hole)
+    return SurvivorAutomaton(trans, live, comps, hole)

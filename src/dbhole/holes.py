@@ -79,12 +79,12 @@ class SturmianHoleBracket:
     precision_bits: int
 
 
-def sturmian_hole(cf_prefix, precision_bits: int, extend: bool = True) -> SturmianHoleBracket:
+def sturmian_hole(cf_prefix, precision_bits: int) -> SturmianHoleBracket:
     """Bracket the Sturmian hole determined by a characteristic-word prefix."""
     cf_prefix = check_cf(cf_prefix)
     if precision_bits < 1:
         raise ValueError("precision_bits must be positive")
-    head = characteristic_prefix(cf_prefix, precision_bits, extend=extend)
+    head = characteristic_prefix(cf_prefix, precision_bits)
     lo = Fraction(int("01" + head, 2), 1 << (len(head) + 2))
     hi = lo + Fraction(1, 1 << (len(head) + 2))
     return SturmianHoleBracket(

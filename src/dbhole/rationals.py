@@ -103,14 +103,9 @@ def _multiplicative_order_of_two(v: int) -> int:
     return order
 
 
-def binary_expansion(x: Fraction, form: str = "lower", allow_one: bool = False) -> EvPeriodicWord:
-    """Binary expansion of a rational x in [0, 1).
-
-    The "lower" form is the expansion that never ends in (1)^inf; it is the
-    lexicographically largest representation of x.  The "upper" form differs
-    only for dyadic x > 0, where it is the representation ending in (1)^inf
-    (lexicographically smallest); its period "1" marks it as non-canonical.
-    x = 1 is rejected unless ``allow_one`` asks for the formal word (1)^inf.
+def binary_expansion(x: Fraction) -> EvPeriodicWord:
+    """Binary expansion of a rational x in [0, 1): the one that never ends in
+    (1)^inf, which is the lexicographically largest representation of x.
 
     The preperiod length is the 2-adic valuation of the denominator and the
     period length is the multiplicative order of 2 modulo its odd part, so no
@@ -118,23 +113,14 @@ def binary_expansion(x: Fraction, form: str = "lower", allow_one: bool = False) 
     trial divisor above ``MAX_TRIAL_DIVISOR``, or whose period is longer than
     ``MAX_PERIOD`` symbols, raises BudgetExceededError.
     """
-    if form not in ("lower", "upper"):
-        raise ValueError(f"form must be 'lower' or 'upper', got {form!r}")
     x = Fraction(x)
     p, q = x.numerator, x.denominator
-    if p == q:
-        if allow_one:
-            return EvPeriodicWord("", "1")
-        raise ValueError("x = 1 has no expansion in [0,1); pass allow_one=True for (1)^inf")
     if not 0 <= p < q:
         raise ValueError(f"x must lie in [0, 1), got {x}")
     u = (q & -q).bit_length() - 1  # 2-adic valuation of q
     v = q >> u
     pre = format((p << u) // q, f"0{u}b") if u else ""
     if v == 1:
-        if form == "upper" and p > 0:
-            # pre ends with 1 since p is odd
-            return EvPeriodicWord(pre[:-1] + "0", "1")
         return EvPeriodicWord(pre, "0")
     try:
         t = _multiplicative_order_of_two(v)
@@ -148,16 +134,23 @@ def binary_expansion(x: Fraction, form: str = "lower", allow_one: bool = False) 
     return EvPeriodicWord(pre, format(body, f"0{t}b"))
 
 
-def lex_max_expansion(x: Fraction) -> EvPeriodicWord:
-    """The lexicographically largest binary representation of x in [0, 1)."""
-    return binary_expansion(x, "lower")
+lex_max_expansion = binary_expansion
 
 
 def lex_min_expansion(x: Fraction) -> EvPeriodicWord:
-    """The lexicographically smallest binary representation of x in (0, 1]."""
+    """The lexicographically smallest binary representation of x in [0, 1].
+
+    It differs from binary_expansion only for dyadic x > 0 and for x = 1,
+    where it is the representation ending in (1)^inf; its period "1" marks
+    it as non-canonical.
+    """
     if x == 1:
         return EvPeriodicWord("", "1")
-    return binary_expansion(x, "upper")
+    w = binary_expansion(x)
+    if w.period == "0" and w.preperiod:
+        # dyadic x = p/2^u > 0: the preperiod ends with 1 since p is odd
+        return EvPeriodicWord(w.preperiod[:-1] + "0", "1")
+    return w
 
 
 def doubling_map(x: Fraction) -> Fraction:

@@ -71,8 +71,13 @@ def _zero_max_rotation(w: str) -> str:
     return "0" + cyclic_extremes(w)[1][:-1]
 
 
-def _perron_bracket(succ: list[list[int]], rel_tol: Fraction,
-                    max_iter: int = 200_000) -> tuple[Fraction, Fraction]:
+# Work budget of one _perron_bracket call, in node visits plus successor-entry
+# visits: about 25 times what the 10,020-state component of
+# (3335/10007, 3336/10007) needs.
+PERRON_WORK_BUDGET = 50_000_000
+
+
+def _perron_bracket(succ: list[list[int]], rel_tol: Fraction) -> tuple[Fraction, Fraction]:
     """Certified bracket for the Perron root of an irreducible digraph.
 
     ``succ[i]`` lists the successors of node i; a repeated entry is a
@@ -80,9 +85,12 @@ def _perron_bracket(succ: list[list[int]], rel_tol: Fraction,
     whenever the graph is strongly connected) with exact integer vectors;
     every Collatz-Wielandt ratio pair min_i (Mx)_i/x_i <= rho <= max_i
     (Mx)_i/x_i is a valid bound for any positive vector, so occasional
-    rescaling costs nothing.
+    rescaling costs nothing.  Each iteration visits every node and successor
+    entry once; past ``PERRON_WORK_BUDGET`` visits a BudgetExceededError
+    carries the best bracket so far.
     """
     n = len(succ)
+    max_iter = max(1, PERRON_WORK_BUDGET // (n + sum(map(len, succ))))
     x = [1] * n
     best_lo = Fraction(0)
     best_hi: Fraction | None = None
@@ -102,8 +110,9 @@ def _perron_bracket(succ: list[list[int]], rel_tol: Fraction,
             shift = top.bit_length() - 150
             x = [max(1, v >> shift) for v in x]
     raise BudgetExceededError(
-        f"Perron bracket did not reach tolerance {rel_tol} in {max_iter} iterations",
-        partial=(best_lo - 1, best_hi - 1 if best_hi is not None else None),
+        f"Perron bracket did not reach tolerance {rel_tol} in {max_iter} iterations, "
+        f"{PERRON_WORK_BUDGET} node and successor-entry visits",
+        partial=(best_lo - 1, best_hi - 1),
     )
 
 
@@ -183,7 +192,7 @@ def _cycles_avoiding(inside, max_len: int):
         q, v = (1 << len(w)) - 1, int(w, 2)
         points = [(v << k) % q for k in range(len(w))]
         if not any(inside(Fraction(p, q)) for p in points):
-            yield format(max(p for p in points if 2 * p < q), f"0{len(w)}b")
+            yield _zero_max_rotation(w)
 
 
 def enumerate_surviving_cycles(hole: Hole, max_len: int) -> list[str]:
@@ -325,18 +334,16 @@ def is_trap(c: Fraction, d: Fraction, depth: int = 24, tol=Fraction(1, 10**6),
 
 
 def locate_entropy_transition(precision_bits: int,
-                              lo: Fraction = Fraction(3, 8),
-                              hi: Fraction = Fraction(7, 16),
                               max_states: int = 1_000_000) -> tuple[Fraction, Fraction]:
     """Dyadic bracket of width 2^-precision_bits around the symmetric-hole
     parameter where the survivor set first gains positive entropy.
 
-    Bisection on a for holes (a, 1-a); the survivor set only grows with a, so
-    the classification flips exactly once.
+    Bisection on a for holes (a, 1-a), from the seed bracket [3/8, 7/16]; the
+    survivor set only grows with a, so the classification flips exactly once.
     """
     if precision_bits < 1:
         raise ValueError("precision_bits must be positive")
-    lo, hi = Fraction(lo), Fraction(hi)
+    lo, hi = Fraction(3, 8), Fraction(7, 16)
 
     def positive(a: Fraction) -> bool:
         cls = classify(Hole(a, 1 - a), max_states=max_states)

@@ -12,6 +12,7 @@ SurvivorAutomaton.live         peel_dead_ends               test_live_flags_matc
 *test_survivor.py*
 _graph_sccs (is_cycle, order)  reachability sets (inline)   test_graph_sccs_match_mutual_reachability
 survivor._perron_bracket       dense_perron_bracket         test_perron_bracket_matches_dense_reference
+entropy (holes around 1/2)     kneading_entropy             test_entropy_matches_kneading_invariant
 survivor._zero_max_rotation    reference_zero_max_rotation  test_zero_max_rotation_matches_reference
 survivor._cycles_avoiding      primitive_necklaces          test_cycle_scan_matches_necklace_filter,
                                                             test_primitive_necklace_counts
@@ -24,6 +25,9 @@ kernels.cylinder_counts        reference_counts             test_pure_kernel_mat
                                                             test_kernel_matches_reference_on_random_holes
 =============================  ===========================  ==============================================
 
+``kneading_entropy`` reads two greedy paths off the automaton's transitions
+and live flags and finds no eigenvector, so it is independent of the Perron
+step but not of the build.
 ``reference_is_trap`` finds its escape witnesses with the brute-force
 necklace filter, not with the Lyndon-word scan it checks, and
 ``trap_by_automaton`` decides traps from the automaton alone: from its
@@ -31,6 +35,7 @@ components' cycle flags and the words read along their cycle order.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 from dbhole.automaton import Hole, build_automaton
@@ -158,6 +163,90 @@ def dense_perron_bracket(rows, rel_tol, max_iter=200_000):
             shift = top.bit_length() - 150
             x = [max(1, v >> shift) for v in x]
     raise AssertionError("reference bracket did not converge")
+
+
+def _greedy_live_word(auto, first, prefer):
+    """(preperiod, period) of the live path from state 0 that reads ``first``,
+    then ``prefer`` whenever that edge leads to a live state and the other
+    symbol otherwise, cut at its first repeated state."""
+    trans, live = auto.transitions, auto.live
+    s = trans[0][first]
+    word, seen = [first], {}
+    while s not in seen:
+        seen[s] = len(word)
+        t = trans[s][prefer]
+        ch = prefer if t >= 0 and live[t] else 1 - prefer
+        word.append(ch)
+        s = trans[s][ch]
+    k = seen[s]
+    return word[:k], word[k:]
+
+
+def _poly_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, c in enumerate(p):
+        for j, d in enumerate(q):
+            out[i + j] += c * d
+    return out
+
+
+def _power_series(pre, per):
+    """sum_i w_i t^i of the word pre (per)^inf as (numerator, denominator)
+    integer polynomials, lowest degree first: (P(t)(1 - t^p) + t^m Q(t)) and
+    1 - t^p, where P and Q have the symbols of pre and per as coefficients."""
+    m, p = len(pre), len(per)
+    den = [1] + [0] * (p - 1) + [-1]
+    num = _poly_mul(pre or [0], den)
+    for j, c in enumerate(per):
+        num[m + j] += c
+    return num, den
+
+
+def kneading_entropy(hole):
+    """Float entropy of the survivor set of a hole with a < 1/2 < b, from its
+    kneading invariant (Hubbard & Sparrow 1990; Glendinning & Hall 1996).
+
+    A' is the largest live path from state 0 that starts with 0 and B' the
+    smallest that starts with 1.  The entropy is -log of the smallest zero in
+    (0, 1) of K(t) = sum_i (B'_i - A'_i) t^i, or 0 when K has none.  K is
+    summed in closed form as N(t) / ((1 - t^p_A')(1 - t^p_B')); the
+    denominator is positive on (0, 1), and the factors 1 - t of the integer
+    polynomial N are divided out exactly, so float rounding cannot put a zero
+    next to t = 1.  K(0) = 1 and K(t) >= 1 - t/(1 - t) > 0 below 1/2, so the
+    scan starts there, on a grid geometric in 1 - t that ends at t = 1, and
+    the first sign change is bisected.
+    """
+    if not hole.a < F(1, 2) < hole.b:
+        raise ValueError(f"kneading_entropy needs a < 1/2 < b, got {hole}")
+    auto = build_automaton(hole)
+    num_a, den_a = _power_series(*_greedy_live_word(auto, 0, 1))
+    num_b, den_b = _power_series(*_greedy_live_word(auto, 1, 0))
+    num = [x - y for x, y in itertools.zip_longest(
+        _poly_mul(num_b, den_a), _poly_mul(num_a, den_b), fillvalue=0)]
+    while sum(num) == 0:
+        # N(1) = 0: N / (1 - t) has the partial sums of N as coefficients
+        num = list(itertools.accumulate(num[:-1]))
+
+    def positive(t):
+        v = 0.0
+        for c in reversed(num):
+            v = v * t + c
+        return v > 0
+
+    lo = 0.5
+    for hi in [1 - 2.0 ** (-1 - i / 8) for i in range(1, 8 * 40)] + [1.0]:
+        if not positive(hi):
+            break
+        lo = hi
+    else:
+        return 0.0
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        if positive(mid):
+            lo = mid
+        else:
+            hi = mid
+    return -math.log((lo + hi) / 2)
 
 
 def dense_rows(succ):

@@ -39,7 +39,7 @@ def dies(word, left_ray, right_ray):
 
 
 def accepts_periodic(auto, pre, per):
-    s = auto.start
+    s = 0
     for ch in pre:
         s = auto.transitions[s][int(ch)]
         if s < 0:

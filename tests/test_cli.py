@@ -59,7 +59,7 @@ def test_scan_rows_and_monotone_kinds(capsys):
     ranks = [rank[k] for k in kinds]
     assert ranks == sorted(ranks)
     first = lines[1].split(",")
-    assert first[0] == "16/64".replace("16/64", "1/4") or first[0] == "1/4"
+    assert first[0] == "1/4"
     assert first[1] == "FixedOnly"
 
 
@@ -144,6 +144,19 @@ def test_budget_exhaustion_exits_3(capsys, monkeypatch, tmp_path):
                "--out", str(target)) == (3, out, err)
     assert not target.exists()
 
+
+
+def test_perron_budget_exits_3_with_partial_bracket(capsys, monkeypatch):
+    from dbhole import survivor
+
+    monkeypatch.setattr(survivor, "PERRON_WORK_BUDGET", 100)
+    code, out, err = run(capsys, "classify", "21/50", "29/50")
+    assert code == 3
+    assert "Perron" in err
+    (line,) = out.splitlines()
+    partial = json.loads(line)
+    assert sorted(partial) == ["partial_hi", "partial_lo"]
+    assert 1 < F(partial["partial_lo"]) <= F(partial["partial_hi"])
 
 def test_catalog_with_sturmian_bracket(capsys):
     _, out, _ = run(capsys, "catalog", "--max-q", "3", "--sturmian", "1,1,1,1,1,1")

@@ -82,11 +82,6 @@ def test_sturmian_hole_left_endpoint_approaches_quarter():
     assert F(1, 4) < lo < hi < F(1, 4) + F(1, 500)
 
 
-def test_sturmian_hole_needs_reachable_precision():
-    with pytest.raises(ValueError):
-        sturmian_hole((1, 1), 30, extend=False)
-
-
 def test_sample_K_inside_quarter_third():
     samples = [(1, 1, 1, 1, 1, 1), (2, 2, 2, 2), (9,), (1, 2, 1, 2)]
     for lo, hi in sample_K(samples, 30):

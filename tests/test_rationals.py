@@ -50,7 +50,7 @@ def naive_expansion(x, limit=4000):
 def test_binary_expansion_examples():
     assert binary_expansion(F(1, 3)) == EvPeriodicWord("", "01")
     assert binary_expansion(F(1, 2)) == EvPeriodicWord("1", "0")
-    assert binary_expansion(F(1, 2), form="upper") == EvPeriodicWord("0", "1")
+    assert lex_min_expansion(F(1, 2)) == EvPeriodicWord("0", "1")
     assert binary_expansion(F(9, 28)) == EvPeriodicWord("01", "010")
     assert binary_expansion(F(0)) == EvPeriodicWord("", "0")
 
@@ -58,7 +58,7 @@ def test_binary_expansion_examples():
 def test_binary_expansion_of_one():
     with pytest.raises(ValueError):
         binary_expansion(F(1))
-    assert binary_expansion(F(1), allow_one=True) == EvPeriodicWord("", "1")
+    assert lex_min_expansion(F(1)) == EvPeriodicWord("", "1")
     assert pi_value(EvPeriodicWord("", "1")) == 1
 
 
@@ -86,11 +86,11 @@ def test_round_trip_large_denominators():
 
 def test_upper_form_inverts_too():
     for x in [F(1, 2), F(3, 8), F(1, 4), F(7, 16)]:
-        up = binary_expansion(x, form="upper")
+        up = lex_min_expansion(x)
         assert up.period == "1"
         assert pi_value(up) == x
-    # upper of a non-dyadic rational is just its expansion
-    assert binary_expansion(F(1, 3), form="upper") == binary_expansion(F(1, 3))
+    # lex_min of a non-dyadic rational is just its expansion
+    assert lex_min_expansion(F(1, 3)) == binary_expansion(F(1, 3))
 
 
 def test_lex_extreme_expansions():

@@ -7,6 +7,8 @@ import pytest
 
 from dbhole import automaton, survivor
 from dbhole.automaton import Hole, SurvivorAutomaton, build_automaton
+from dbhole.holes import catalog
+from dbhole.rationals import BudgetExceededError
 from dbhole.survivor import (
     Kind,
     TrapReport,
@@ -28,6 +30,7 @@ from oracles import (
     brute_sigma_count,
     dense_perron_bracket,
     dense_rows,
+    kneading_entropy,
     primitive_necklaces,
     reference_is_trap,
     reference_zero_max_rotation,
@@ -181,6 +184,44 @@ def test_perron_bracket_matches_dense_reference():
     for succ in graphs:
         assert _perron_bracket(succ, rel) == dense_perron_bracket(dense_rows(succ), rel), succ
 
+
+
+def test_perron_work_budget_raises_with_best_bracket(monkeypatch):
+    # a bisection hole near a*, as the ladder workload classifies, with one
+    # branching component of 24 states
+    a = F(13517, 32768)
+    auto = build_automaton(Hole(a, 1 - a))
+    (comp,) = [states for states, is_cycle in auto.components if not is_cycle]
+    assert len(comp) == 24
+    monkeypatch.setattr(survivor, "PERRON_WORK_BUDGET", 2_000)
+    with pytest.raises(BudgetExceededError) as info:
+        entropy(auto)
+    lo, hi = info.value.partial
+    assert type(lo) is type(hi) is Fraction and 1 < lo <= hi
+    idx = {s: i for i, s in enumerate(comp)}
+    succ = [[idx[t] for t in auto.transitions[s] if t in idx] for s in comp]
+    ref_lo, ref_hi = dense_perron_bracket(dense_rows(succ), F(1, 10**12))
+    assert lo <= ref_hi and ref_lo <= hi
+
+
+def test_entropy_matches_kneading_invariant():
+    rng = random.Random(61)
+    holes = []
+    while len(holes) < 120:
+        qa, qb = rng.randrange(3, 81), rng.randrange(3, 81)
+        a, b = F(rng.randrange(1, qa), qa), F(rng.randrange(1, qb), qb)
+        if F(1, 4) < a < F(1, 2) < b < F(3, 4):
+            holes.append(Hole(a, b))
+    eps = F(1, 1024)
+    inner = [Hole(e.left + eps, e.right - eps) for e in catalog(12)
+             if not isinstance(e.left, tuple) and e.left + eps < F(1, 2) < e.right - eps]
+    assert len(inner) > 50
+    kinds = set()
+    for hole in holes + inner:
+        c = classify(hole)
+        kinds.add(c.kind)
+        assert abs(kneading_entropy(hole) - (c.entropy_lo + c.entropy_hi) / 2) < 1e-9, hole
+    assert kinds == set(Kind)
 
 def test_no_factor_00_hole_has_golden_entropy():
     # survivors of (0, 1/4): every tail is 0^inf or at least 1/4
