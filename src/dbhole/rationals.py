@@ -120,8 +120,6 @@ def binary_expansion(x: Fraction) -> EvPeriodicWord:
     u = (q & -q).bit_length() - 1  # 2-adic valuation of q
     v = q >> u
     pre = format((p << u) // q, f"0{u}b") if u else ""
-    if v == 1:
-        return EvPeriodicWord(pre, "0")
     try:
         t = _multiplicative_order_of_two(v)
     except BudgetExceededError as exc:

@@ -233,7 +233,8 @@ def cylinder_counts(hole: Hole, depth: int) -> tuple[int, int]:
     lower: cylinders whose first ``depth`` images are disjoint from the open
     hole; upper: cylinders none of whose first ``depth`` images is contained
     in it.  The automaton's path count of the same length always lies between
-    the two.
+    the two.  A depth above ``kernels.MAX_CYLINDER_DEPTH`` raises
+    BudgetExceededError.
     """
     return kernels.cylinder_counts(depth, hole.a.numerator, hole.a.denominator,
                                    hole.b.numerator, hole.b.denominator)

@@ -23,6 +23,8 @@ sigma_n_matrix_word_count      brute_sigma_count            test_sigma_counts_ma
 *test_kernels.py*
 kernels.cylinder_counts        reference_counts             test_pure_kernel_matches_reference,
                                                             test_kernel_matches_reference_on_random_holes
+kernels.cylinder_counts        MAX_CYLINDER_DEPTH (budget)  test_depth_past_budget_raises_before_enumerating
+survivor.cylinder_counts       recorder (monkeypatched)     test_survivor_dispatches_to_kernel_at_call_time
 =============================  ===========================  ==============================================
 
 ``kneading_entropy`` reads two greedy paths off the automaton's transitions

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from dbhole import kernels
+from dbhole import Hole, kernels, survivor
+from dbhole.rationals import BudgetExceededError
 from oracles import reference_counts
 
 F = Fraction
@@ -34,3 +35,21 @@ def test_kernel_matches_reference_on_random_holes():
 def test_depth_zero_raises():
     with pytest.raises(ValueError):
         kernels.cylinder_counts(0, 1, 3, 2, 3)
+
+
+def test_depth_past_budget_raises_before_enumerating():
+    with pytest.raises(BudgetExceededError) as info:
+        kernels.cylinder_counts(kernels.MAX_CYLINDER_DEPTH + 1, 1, 3, 2, 3)
+    assert info.value.partial is None
+
+
+def test_survivor_dispatches_to_kernel_at_call_time(monkeypatch):
+    calls = []
+
+    def recorder(*args):
+        calls.append(args)
+        return 1, 2
+
+    monkeypatch.setattr(kernels, "cylinder_counts", recorder)
+    assert survivor.cylinder_counts(Hole(F(1, 3), F(2, 3)), 5) == (1, 2)
+    assert calls == [(5, 1, 3, 2, 3)]
