@@ -9,17 +9,13 @@ from .holes import (
     catalog,
     certify_entry,
     gap_interval,
-    sample_K,
     sturmian_hole,
     test_supercritical,
 )
 from .rationals import (
     BudgetExceededError,
-    OrbitResult,
     binary_expansion,
-    doubling_map,
     format_fraction,
-    orbit,
     parse_fraction,
     pi_value,
 )
@@ -41,9 +37,6 @@ from .words import (
     cf_of_fraction,
     convergents,
     cyclic_extremes,
-    farey_parents,
-    is_balanced,
-    lex_compare,
     standard_words,
     thue_morse,
 )

@@ -35,34 +35,35 @@ flag, a cycle's states in cycle order, so classification walks no graph again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
-from .rationals import BudgetExceededError, lex_max_expansion, lex_min_expansion
+from .rationals import BudgetExceededError, format_short, lex_max_expansion, lex_min_expansion
 
 
-@dataclass(frozen=True)
-class Hole:
-    """Open interval (a, b) within [0, 1] with rational endpoints."""
+class Hole(namedtuple("Hole", "a b")):
+    """Open interval (a, b) within [0, 1] with rational endpoints.
 
-    a: Fraction
-    b: Fraction
+    The endpoints are coerced to Fraction, so ints and "p/q" strings work.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-        if not (0 <= self.a < self.b <= 1):
-            raise ValueError(f"need 0 <= a < b <= 1, got ({self.a}, {self.b})")
+    __slots__ = ()
+
+    def __new__(cls, a, b):
+        a, b = Fraction(a), Fraction(b)
+        if not (0 <= a < b <= 1):
+            raise ValueError(f"need 0 <= a < b <= 1, got ({format_short(a)}, {format_short(b)})")
+        return super().__new__(cls, a, b)
 
     def mirror(self) -> "Hole":
         return Hole(1 - self.b, 1 - self.a)
 
     def __str__(self) -> str:
-        return f"({self.a}, {self.b})"
+        return f"({format_short(self.a)}, {format_short(self.b)})"
 
 
-@dataclass
-class SurvivorAutomaton:
+class SurvivorAutomaton(namedtuple("SurvivorAutomaton", "transitions live components hole",
+                                   defaults=(None,))):
     """Deterministic partial automaton over {0, 1}.
 
     ``transitions[s]`` is a pair (target on 0, target on 1) with -1 for a
@@ -71,12 +72,10 @@ class SurvivorAutomaton:
     ``components`` lists the strongly connected components with an internal
     edge, in reverse topological order, as (states, is_cycle) pairs; every
     state on a cycle is in one.  A simple cycle lists its states in order.
+    ``hole`` is the Hole it was built for, or None.
     """
 
-    transitions: list[tuple[int, int]]
-    live: list[bool]
-    components: list[tuple[list[int], bool]]
-    hole: Hole | None = None
+    __slots__ = ()
 
     @classmethod
     def from_transitions(cls, transitions) -> "SurvivorAutomaton":
@@ -108,15 +107,6 @@ class SurvivorAutomaton:
         if live_only:
             return sum(c for s, c in vec.items() if self.live[s])
         return sum(vec.values())
-
-    def accepts(self, word: str) -> bool:
-        """Is the finite word the label of a path from the start state?"""
-        s = 0
-        for ch in word:
-            s = self.transitions[s][int(ch)]
-            if s < 0:
-                return False
-        return True
 
     def dump(self) -> str:
         """Deterministic text form: one "state symbol -> state" line per edge."""
@@ -213,7 +203,9 @@ def build_automaton(hole: Hole, max_states: int = 1_000_000) -> SurvivorAutomato
 
     A path dies at the first symbol that decides some tail strictly between
     the two endpoint expansions; boundary-valued tails survive, matching the
-    openness of the hole.
+    openness of the hole.  More than ``max_states`` states raise
+    BudgetExceededError, before the build when the endpoints' common prefix
+    alone is longer.
     """
     if hole.a >= hole.b:
         raise ValueError(f"empty hole {hole}")
@@ -223,6 +215,19 @@ def build_automaton(hole: Hole, max_states: int = 1_000_000) -> SurvivorAutomato
     # a tail of A (resp. B) is named by its numerator over qa (resp. qb)
     qa, qb = hole.a.denominator, hole.b.denominator
     ca, cb = hole.a.numerator, hole.b.numerator
+
+    # each prefix of the common prefix ends in a state of its own, so one of
+    # more than max_states symbols is refused before the loop below, whose
+    # cost grows with its square.  A and B share their first k symbols when
+    # floor(a 2^k) = ceil(b 2^k) - 1, which needs b - a <= 2^-k: the bit
+    # lengths of (b - a) qa qb and qa qb rule that out for all but tiny holes.
+    k = max_states + 1
+    if ((cb * qa - ca * qb).bit_length() + k <= (qa * qb).bit_length()
+            and (ca << k) // qa == ((cb << k) - 1) // qb):
+        raise BudgetExceededError(
+            f"endpoints of {hole} share more than {max_states} leading binary digits, "
+            f"so its automaton exceeds {max_states} states"
+        )
 
     # common prefix of A and B; they differ since a < b, and at the first
     # difference A carries 0, B carries 1

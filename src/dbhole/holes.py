@@ -14,11 +14,12 @@ classifying an enlarged and a shrunken copy of the hole.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .automaton import Hole
-from .survivor import Classification, Kind, classify
+from .survivor import Kind, classify
 from .words import (
     EvPeriodicWord,
     cf_of_fraction,
@@ -33,21 +34,16 @@ Bracket = tuple[Fraction, Fraction]
 ONE_QUARTER = Fraction(1, 4)
 
 
-@dataclass(frozen=True)
-class GapInterval:
+class GapInterval(namedtuple("GapInterval", "cf alpha beta gamma p q")):
     """The interval [alpha, beta] of left endpoints excluded around p/q.
 
     alpha = pi(01 (s_n)^inf) and beta = pi(01 (s_{n-1}^{a_n - 1} s_{n-2}
     s_{n-1})^inf) for odd n (swapped for even n), where the s_k are the
     standard words of cf; gamma = beta + 1/4 closes the associated hole.
+    ``cf`` is the digit tuple of the rational p/q.
     """
 
-    cf: tuple[int, ...]
-    alpha: Fraction
-    beta: Fraction
-    gamma: Fraction
-    p: int
-    q: int
+    __slots__ = ()
 
 
 def gap_interval(cf) -> GapInterval:
@@ -64,19 +60,17 @@ def gap_interval(cf) -> GapInterval:
     return GapInterval(cf, alpha, beta, beta + ONE_QUARTER, p, q)
 
 
-@dataclass(frozen=True)
-class SturmianHoleBracket:
+class SturmianHoleBracket(namedtuple("SturmianHoleBracket",
+                                     "cf_prefix left right precision_bits")):
     """Rational bracketing of the hole (pi(01 s_inf), pi(10 s_inf)).
 
     Both endpoints are irrational for irrational slopes; each bracket has
     width 2^-(precision_bits + 2) and the right endpoint exceeds the left by
-    exactly 1/4, so right = left + 1/4 bracket-wise as well.
+    exactly 1/4, so right = left + 1/4 bracket-wise as well.  ``left`` and
+    ``right`` are plain (lo, hi) tuples.
     """
 
-    cf_prefix: tuple[int, ...]
-    left: Bracket
-    right: Bracket
-    precision_bits: int
+    __slots__ = ()
 
 
 def sturmian_hole(cf_prefix, precision_bits: int) -> SturmianHoleBracket:
@@ -92,21 +86,19 @@ def sturmian_hole(cf_prefix, precision_bits: int) -> SturmianHoleBracket:
     )
 
 
-def sample_K(samples, precision_bits: int = 30) -> list[Bracket]:
-    """Left endpoints of Sturmian holes, bracketed; all lie in (1/4, 1/3)."""
-    return [sturmian_hole(cf, precision_bits).left for cf in samples]
+class CatalogEntry(SimpleNamespace):
+    """One supercritical hole; endpoints are exact rationals or plain (lo, hi)
+    tuple brackets.
 
+    The one mutable record: certify_entry sets ``certified`` and ``epsilon``.
+    Its repr lists the fields in order.
+    """
 
-@dataclass
-class CatalogEntry:
-    """One supercritical hole; endpoints are exact rationals or brackets."""
-
-    family: str
-    left: Fraction | Bracket
-    right: Fraction | Bracket
-    parameter: dict
-    certified: bool | None = None
-    epsilon: Fraction | None = None
+    def __init__(self, family: str, left: Fraction | Bracket, right: Fraction | Bracket,
+                 parameter: dict, certified: bool | None = None,
+                 epsilon: Fraction | None = None):
+        super().__init__(family=family, left=left, right=right, parameter=parameter,
+                         certified=certified, epsilon=epsilon)
 
     def mirror(self) -> "CatalogEntry":
         def flip(x):
@@ -180,15 +172,12 @@ def catalog(max_q: int, sturmian_samples=(), degenerate_samples: int = 9,
     return sorted(unique.values(), key=_entry_sort_key)
 
 
-@dataclass(frozen=True)
-class SupercriticalReport:
+class SupercriticalReport(namedtuple("SupercriticalReport", "outer inner epsilon")):
     """Classifications of the enlarged and shrunken holes; passed means the
     enlarged hole retains only the fixed point while the shrunken one keeps
-    positive entropy."""
+    positive entropy.  ``outer`` and ``inner`` are Classifications."""
 
-    outer: Classification
-    inner: Classification
-    epsilon: Fraction
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

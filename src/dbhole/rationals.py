@@ -1,8 +1,7 @@
 """Exact rational arithmetic for the doubling map.
 
 Conversion between rationals in [0, 1] and eventually periodic binary
-expansions, the map x -> 2x mod 1, and orbit computation with exact cycle
-detection.  Everything here is integer/Fraction arithmetic; no floats.
+expansions.  Everything here is integer/Fraction arithmetic; no floats.
 
 The period of an expansion is the order of 2 modulo the odd part of the
 denominator.  The last ``ORDER_CACHE_SIZE`` orders are memoised, so the two
@@ -13,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .words import EvPeriodicWord
@@ -42,6 +40,23 @@ def format_fraction(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def format_short(x: int | Fraction) -> str:
+    """str(x) for a message, with each integer of more than 332 bits (over
+    100 digits) written as its bit length.
+
+    Python refuses to write an int of more than 4,300 digits in decimal, so
+    a message that printed one would raise ValueError in place of its own
+    error.
+    """
+    if isinstance(x, Fraction):
+        if x.denominator == 1:
+            return format_short(x.numerator)
+        return f"{format_short(x.numerator)}/{format_short(x.denominator)}"
+    if x.bit_length() > 332:
+        return f"{'-' * (x < 0)}<{x.bit_length()}-bit integer>"
+    return str(x)
+
+
 def pi_value(w: EvPeriodicWord) -> Fraction:
     """Value sum_k w_k 2^{-k} of an eventually periodic binary word."""
     pre, per = w.preperiod, w.period
@@ -63,7 +78,7 @@ def _factorize(n: int) -> dict[int, int]:
     while d * d <= n:
         if d > MAX_TRIAL_DIVISOR:
             raise BudgetExceededError(
-                f"trial division of {n} passed {MAX_TRIAL_DIVISOR} without a factor"
+                f"trial division of {format_short(n)} passed {MAX_TRIAL_DIVISOR} without a factor"
             )
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
@@ -123,10 +138,11 @@ def binary_expansion(x: Fraction) -> EvPeriodicWord:
     try:
         t = _multiplicative_order_of_two(v)
     except BudgetExceededError as exc:
-        raise BudgetExceededError(f"period of denominator {q}: {exc}") from exc
+        raise BudgetExceededError(f"period of denominator {format_short(q)}: {exc}") from exc
     if t > MAX_PERIOD:
         raise BudgetExceededError(
-            f"denominator {q} has a period of {t} symbols, above {MAX_PERIOD}"
+            f"denominator {format_short(q)} has a period of {format_short(t)} symbols, "
+            f"above {MAX_PERIOD}"
         )
     body = ((p % v) << t) // v
     return EvPeriodicWord(pre, format(body, f"0{t}b"))
@@ -149,46 +165,3 @@ def lex_min_expansion(x: Fraction) -> EvPeriodicWord:
         # dyadic x = p/2^u > 0: the preperiod ends with 1 since p is odd
         return EvPeriodicWord(w.preperiod[:-1] + "0", "1")
     return w
-
-
-def doubling_map(x: Fraction) -> Fraction:
-    """2x mod 1 on [0, 1)."""
-    x = Fraction(x)
-    if not 0 <= x < 1:
-        raise ValueError(f"x must lie in [0, 1), got {x}")
-    y = 2 * x
-    return y - 1 if y >= 1 else y
-
-
-@dataclass(frozen=True)
-class OrbitResult:
-    """Forward orbit of a rational split at the first repeated point."""
-
-    transient: tuple[Fraction, ...]
-    cycle: tuple[Fraction, ...]
-
-    @property
-    def cycle_length(self) -> int:
-        return len(self.cycle)
-
-
-def orbit(x: Fraction, max_steps: int = 100_000) -> OrbitResult:
-    """Orbit of x under 2x mod 1 until the first exact repeat.
-
-    Rational orbits always close; if no repeat shows up within ``max_steps``
-    a BudgetExceededError carries the transient computed so far.
-    """
-    x = Fraction(x)
-    seen: dict[Fraction, int] = {}
-    points: list[Fraction] = []
-    cur = x
-    for _ in range(max_steps + 1):
-        if cur in seen:
-            k = seen[cur]
-            return OrbitResult(tuple(points[:k]), tuple(points[k:]))
-        seen[cur] = len(points)
-        points.append(cur)
-        cur = doubling_map(cur)
-    raise BudgetExceededError(
-        f"orbit of {x} did not close within {max_steps} steps", partial=tuple(points)
-    )

@@ -14,12 +14,12 @@ recursion on the gaps whose points have not yet met the interval.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 
 from .automaton import Hole, SurvivorAutomaton, _graph_sccs, build_automaton
-from .rationals import BudgetExceededError
+from .rationals import BudgetExceededError, format_short
 from .words import cyclic_extremes
 from . import kernels
 
@@ -38,8 +38,8 @@ def kind_rank(kind: Kind) -> int:
     return _KIND_ORDER[Kind(kind)]
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(namedtuple("Classification",
+                                "kind cycles zero_loop entropy_lo entropy_hi")):
     """Outcome of classify().
 
     ``cycles`` lists the nontrivial surviving cycle codings (one per rotation
@@ -50,11 +50,7 @@ class Classification:
     PositiveEntropy.
     """
 
-    kind: Kind
-    cycles: tuple[str, ...]
-    zero_loop: bool
-    entropy_lo: float
-    entropy_hi: float
+    __slots__ = ()
 
     @property
     def dimension(self) -> float:
@@ -240,13 +236,11 @@ def cylinder_counts(hole: Hole, depth: int) -> tuple[int, int]:
                                    hole.b.numerator, hole.b.denominator)
 
 
-@dataclass(frozen=True)
-class TrapReport:
-    """Outcome of is_trap: trapped is True, False or None (undecided)."""
+class TrapReport(namedtuple("TrapReport", "trapped residual_measure escape_witness")):
+    """Outcome of is_trap: trapped is True, False or None (undecided), the
+    measure of the points not yet trapped, and an escape witness or None."""
 
-    trapped: bool | None
-    residual_measure: Fraction
-    escape_witness: str | None
+    __slots__ = ()
 
 
 def _certify_trapped(gaps: list[tuple[Fraction, Fraction]]) -> bool:
@@ -362,6 +356,7 @@ def locate_entropy_transition(precision_bits: int,
                 lo = mid
     except BudgetExceededError as exc:
         raise BudgetExceededError(
-            f"state budget exceeded at bracket [{lo}, {hi}]", partial=(lo, hi)
+            f"state budget exceeded at bracket [{format_short(lo)}, {format_short(hi)}]",
+            partial=(lo, hi),
         ) from exc
     return lo, hi

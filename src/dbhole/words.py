@@ -1,19 +1,15 @@
 """Combinatorics on 0-1 words.
 
 Standard words built from continued-fraction digits, characteristic-word
-prefixes, balance testing, lexicographic order on eventually periodic words,
-rotation extremes, the Thue-Morse word and Farey neighbors.  Finite words are
-plain strings over "01"; infinite eventually periodic words are
+prefixes, rotation extremes and the Thue-Morse word.  Finite words are plain
+strings over "01"; infinite eventually periodic words are
 :class:`EvPeriodicWord` values.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-
-LESS, EQUAL, GREATER = -1, 0, 1
+from collections import namedtuple
 
 
 def check_word(w: str) -> str:
@@ -109,26 +105,6 @@ def characteristic_prefix(cf, length: int, extend: bool = True) -> str:
     return words[-1][:length]
 
 
-def is_balanced(w: str) -> bool:
-    """True iff any two equal-length factors differ by at most 1 in 1-count."""
-    w = check_word(w)
-    n = len(w)
-    ones = [0] * (n + 1)
-    for i, c in enumerate(w):
-        ones[i + 1] = ones[i] + (c == "1")
-    for ell in range(1, n):
-        lo = hi = ones[ell]
-        for i in range(1, n - ell + 1):
-            k = ones[i + ell] - ones[i]
-            if k < lo:
-                lo = k
-            elif k > hi:
-                hi = k
-        if hi - lo > 1:
-            return False
-    return True
-
-
 def thue_morse(length: int) -> str:
     """Prefix of the fixed point of 0 -> 01, 1 -> 10 starting with 0."""
     if length < 1:
@@ -152,21 +128,7 @@ def cyclic_extremes(w: str) -> tuple[str, str]:
     return min(rots), max(rots)
 
 
-def farey_parents(p: int, q: int) -> tuple[Fraction, Fraction]:
-    """The Farey neighbors (left, right) of p/q with left + right mediant p/q."""
-    if q < 2 or not 0 < p < q:
-        raise ValueError(f"need 0 < p/q < 1 with q >= 2, got {p}/{q}")
-    if math.gcd(p, q) != 1:
-        raise ValueError(f"{p}/{q} is not in lowest terms")
-    v = pow(p, -1, q)          # p*v = 1 (mod q), 1 <= v <= q-1
-    u = (p * v - 1) // q
-    left = Fraction(u, v)
-    right = Fraction(p - u, q - v)
-    return left, right
-
-
-@dataclass(frozen=True)
-class EvPeriodicWord:
+class EvPeriodicWord(namedtuple("EvPeriodicWord", "preperiod period")):
     """Eventually periodic 0-1 sequence  preperiod (period)^inf.
 
     Values built through :meth:`make` are canonical: the period is primitive,
@@ -176,8 +138,7 @@ class EvPeriodicWord:
     (1)^inf-tail representations of dyadic rationals.
     """
 
-    preperiod: str
-    period: str
+    __slots__ = ()
 
     @classmethod
     def make(cls, preperiod: str, period: str) -> "EvPeriodicWord":
@@ -220,18 +181,3 @@ class EvPeriodicWord:
 
     def __str__(self) -> str:
         return f"{self.preperiod}({self.period})"
-
-
-def lex_compare(u: EvPeriodicWord, v: EvPeriodicWord) -> int:
-    """Order of two eventually periodic words as infinite sequences.
-
-    Returns LESS (-1), EQUAL (0) or GREATER (+1).  Two words are EQUAL iff
-    they agree as infinite sequences, regardless of representation.
-    """
-    m = max(len(u.preperiod), len(v.preperiod))
-    pl = len(u.period) * len(v.period) // math.gcd(len(u.period), len(v.period))
-    for i in range(m + pl):
-        a, b = u.sym(i), v.sym(i)
-        if a != b:
-            return LESS if a < b else GREATER
-    return EQUAL

@@ -9,6 +9,16 @@ fast path (``dbhole``)         oracle                       test
 *test_automaton.py*
 build_automaton transitions    reference_transitions        test_transitions_match_shift_and_reference
 SurvivorAutomaton.live         peel_dead_ends               test_live_flags_match_dead_end_peeling
+build_automaton (paths)        accepts                      test_path_existence_matches_lexicographic_death
+build_automaton prefix budget  common_prefix_len            test_states_outnumber_common_prefix
+*test_words.py*, *test_rationals.py*, *test_acceptance.py*
+standard_words                 is_balanced                  test_criterion_9_property_suites
+characteristic_prefix          is_balanced                  test_criterion_9_property_suites
+binary_expansion (order)       lex_compare                  test_lex_order_matches_value_order_on_canonical_words,
+                                                            test_criterion_9_property_suites
+EvPeriodicWord.shift           doubling_map                 test_shift_conjugacy
+gap_interval (alpha's cycle)   orbit                        test_alpha_expansion_purely_periodic_and_orbit_closes,
+                                                            test_criterion_9_property_suites
 *test_survivor.py*
 _graph_sccs (is_cycle, order)  reachability sets (inline)   test_graph_sccs_match_mutual_reachability
 survivor._perron_bracket       dense_perron_bracket         test_perron_bracket_matches_dense_reference
@@ -38,12 +48,16 @@ components' cycle flags and the words read along their cycle order.
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from dbhole.automaton import Hole, build_automaton
+from dbhole.rationals import BudgetExceededError, lex_max_expansion, lex_min_expansion
 from dbhole.survivor import TrapReport, _certify_trapped
+from dbhole.words import check_word
 
 F = Fraction
+LESS, EQUAL, GREATER = -1, 0, 1
 
 
 def primitive_necklaces(max_len):
@@ -394,3 +408,101 @@ def reference_counts(depth, pa, qa, pb, qb):
         lower += disjoint
         upper += never_inside
     return lower, upper
+
+
+def accepts(auto, word):
+    """Is the finite word the label of a path from the automaton's start state?"""
+    s = 0
+    for ch in word:
+        s = auto.transitions[s][int(ch)]
+        if s < 0:
+            return False
+    return True
+
+
+def is_balanced(w):
+    """True iff any two equal-length factors differ by at most 1 in 1-count."""
+    w = check_word(w)
+    n = len(w)
+    ones = [0] * (n + 1)
+    for i, c in enumerate(w):
+        ones[i + 1] = ones[i] + (c == "1")
+    for ell in range(1, n):
+        lo = hi = ones[ell]
+        for i in range(1, n - ell + 1):
+            k = ones[i + ell] - ones[i]
+            if k < lo:
+                lo = k
+            elif k > hi:
+                hi = k
+        if hi - lo > 1:
+            return False
+    return True
+
+
+def lex_compare(u, v):
+    """Order of two eventually periodic words as infinite sequences.
+
+    Returns LESS (-1), EQUAL (0) or GREATER (+1).  Two words are EQUAL iff
+    they agree as infinite sequences, regardless of representation.
+    """
+    m = max(len(u.preperiod), len(v.preperiod))
+    pl = len(u.period) * len(v.period) // math.gcd(len(u.period), len(v.period))
+    for i in range(m + pl):
+        a, b = u.sym(i), v.sym(i)
+        if a != b:
+            return LESS if a < b else GREATER
+    return EQUAL
+
+
+def doubling_map(x):
+    """2x mod 1 on [0, 1)."""
+    x = F(x)
+    if not 0 <= x < 1:
+        raise ValueError(f"x must lie in [0, 1), got {x}")
+    y = 2 * x
+    return y - 1 if y >= 1 else y
+
+
+@dataclass(frozen=True)
+class OrbitResult:
+    """Forward orbit of a rational split at the first repeated point."""
+
+    transient: tuple
+    cycle: tuple
+
+    @property
+    def cycle_length(self):
+        return len(self.cycle)
+
+
+def orbit(x, max_steps=100_000):
+    """Orbit of x under 2x mod 1 until the first exact repeat.
+
+    Rational orbits always close; if no repeat shows up within ``max_steps``
+    a BudgetExceededError carries the transient computed so far.
+    """
+    x = F(x)
+    seen = {}
+    points = []
+    cur = x
+    for _ in range(max_steps + 1):
+        if cur in seen:
+            k = seen[cur]
+            return OrbitResult(tuple(points[:k]), tuple(points[k:]))
+        seen[cur] = len(points)
+        points.append(cur)
+        cur = doubling_map(cur)
+    raise BudgetExceededError(
+        f"orbit of {x} did not close within {max_steps} steps", partial=tuple(points)
+    )
+
+
+def common_prefix_len(hole):
+    """Number of leading symbols that the hole's endpoint expansions A (the
+    largest of a) and B (the smallest of b) share, read off the words."""
+    a, b = lex_max_expansion(hole.a), lex_min_expansion(hole.b)
+    k = 0
+    while a.sym(k) == b.sym(k):
+        k += 1
+    return k

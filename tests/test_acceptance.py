@@ -12,7 +12,7 @@ from fractions import Fraction
 from dbhole.automaton import Hole, build_automaton
 from dbhole.holes import catalog, gap_interval, sturmian_hole
 from dbhole.holes import test_supercritical as run_supercritical
-from dbhole.rationals import binary_expansion, orbit
+from dbhole.rationals import binary_expansion
 from dbhole.survivor import (
     Kind,
     classify,
@@ -29,11 +29,10 @@ from dbhole.words import (
     cf_of_fraction,
     characteristic_prefix,
     convergents,
-    is_balanced,
-    lex_compare,
     standard_words,
     thue_morse,
 )
+from oracles import is_balanced, lex_compare, orbit
 
 F = Fraction
 

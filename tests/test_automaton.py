@@ -7,9 +7,10 @@ from fractions import Fraction
 import pytest
 
 from dbhole.automaton import Hole, SurvivorAutomaton, build_automaton
+from dbhole.survivor import classify
 from dbhole.rationals import BudgetExceededError, lex_max_expansion, lex_min_expansion, pi_value
 from dbhole.words import EvPeriodicWord
-from oracles import peel_dead_ends, reference_transitions
+from oracles import accepts, common_prefix_len, peel_dead_ends, reference_transitions
 
 F = Fraction
 
@@ -74,7 +75,7 @@ def test_middle_hole_keeps_two_cycle_and_little_else():
     auto = build_automaton(Hole(F(1, 3), F(2, 3)))
     assert auto.n_states == 5
     assert accepts_periodic(auto, "", "01")
-    assert not auto.accepts("011")  # value forced into (1/3, 2/3)
+    assert not accepts(auto, "011")  # value forced into (1/3, 2/3)
     assert not accepts_periodic(auto, "0", "110")
     # path growth is linear here, far from the 2^m of the full shift
     counts = [auto.count_paths(m) for m in (4, 8, 16)]
@@ -120,7 +121,7 @@ def assert_prefixes_match_death(hole, max_len):
     for length in range(1, max_len + 1):
         for bits in itertools.product("01", repeat=length):
             w = "".join(bits)
-            assert auto.accepts(w) == (not dies(w, left, right)), (hole, w)
+            assert accepts(auto, w) == (not dies(w, left, right)), (hole, w)
 
 
 def test_path_existence_matches_lexicographic_death():
@@ -216,6 +217,37 @@ def test_endpoint_expansion_budget(hole):
     assert time.perf_counter() - start < 2
 
 
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda k: Hole(0, F(1, 2**k)), id="zero-to-dyadic"),
+    pytest.param(lambda k: Hole(F(1, 2), F(1, 2) + F(1, 2**k)), id="dyadic-both"),
+    pytest.param(lambda k: Hole(F(1, 3), F(1, 3) + F(1, 2**k)), id="third"),
+])
+def test_common_prefix_past_budget_is_refused_before_the_build(make):
+    # the endpoints share about k symbols: a hole is refused up front exactly
+    # when they share more than max_states
+    for k in range(995, 1006):
+        hole = make(k)
+        try:
+            build_automaton(hole, max_states=1000)
+            refused = False
+        except BudgetExceededError as exc:
+            refused = "share more than 1000 leading" in str(exc)
+        assert refused == (common_prefix_len(hole) > 1000), k
+    with pytest.raises(BudgetExceededError, match="share more than 1000 leading"):
+        build_automaton(make(40_000), max_states=1000)
+
+
+@pytest.mark.parametrize("hole", [
+    pytest.param(Hole(F(1, 3), F(1, 3) + F(1, 2**15000)), id="prefix-budget"),
+    pytest.param(Hole(F(1, 3), F(1, 2) + F(1, 2**15000)), id="state-budget"),
+])
+def test_budget_message_names_huge_endpoints_by_size(hole):
+    # a 15,000-bit denominator has over 4,300 digits, which Python refuses
+    # to write in decimal
+    with pytest.raises(BudgetExceededError, match="-bit integer>"):
+        classify(hole, max_states=100)
+
+
 def test_state_count_polynomial_in_expansion_lengths():
     rng = random.Random(7)
     for _ in range(120):
@@ -302,14 +334,6 @@ def test_state_budget_boundary(hole):
     message = re.escape(f"automaton for {hole} exceeds {n - 1} states")
     with pytest.raises(BudgetExceededError, match=message):
         build_automaton(hole, max_states=n - 1)
-
-
-def common_prefix_len(hole):
-    a, b = lex_max_expansion(hole.a), lex_min_expansion(hole.b)
-    k = 0
-    while a.sym(k) == b.sym(k):
-        k += 1
-    return k
 
 
 def dyadic_or_small(rng):

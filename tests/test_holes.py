@@ -8,7 +8,6 @@ from dbhole.holes import (
     catalog,
     certify_entry,
     gap_interval,
-    sample_K,
     sturmian_hole,
 )
 from dbhole.holes import test_supercritical as run_supercritical
@@ -82,9 +81,9 @@ def test_sturmian_hole_left_endpoint_approaches_quarter():
     assert F(1, 4) < lo < hi < F(1, 4) + F(1, 500)
 
 
-def test_sample_K_inside_quarter_third():
+def test_sturmian_left_endpoints_inside_quarter_third():
     samples = [(1, 1, 1, 1, 1, 1), (2, 2, 2, 2), (9,), (1, 2, 1, 2)]
-    for lo, hi in sample_K(samples, 30):
+    for lo, hi in (sturmian_hole(cf, 30).left for cf in samples):
         assert F(1, 4) < lo < hi < F(1, 3)
 
 

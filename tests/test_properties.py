@@ -9,6 +9,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from dbhole.automaton import Hole, build_automaton  # noqa: E402
+from dbhole.rationals import BudgetExceededError  # noqa: E402
 from dbhole.survivor import (  # noqa: E402
     Kind,
     _zero_max_rotation,
@@ -17,6 +18,7 @@ from dbhole.survivor import (  # noqa: E402
     enumerate_surviving_cycles,
     kind_rank,
 )
+from oracles import common_prefix_len  # noqa: E402
 
 MAX_DEN = 32
 FRACTIONS = sorted({Fraction(k, q) for q in range(1, MAX_DEN + 1) for k in range(q + 1)})
@@ -53,6 +55,29 @@ def central_holes(draw):
     positive entropy, often asymmetric."""
     a = draw(st.sampled_from([x for x in FRACTIONS if 1 / 3 <= x < 9 / 20]))
     return Hole(a, draw(st.sampled_from([x for x in FRACTIONS if 11 / 20 < x <= 2 / 3])))
+
+
+@st.composite
+def prefix_holes(draw):
+    """A hole inside one dyadic interval [j/2^m, (j+1)/2^m], often touching
+    its ends, so its endpoint expansions share at least m symbols."""
+    m = draw(st.integers(0, 40))
+    j = draw(st.integers(0, (1 << m) - 1))
+    q = draw(st.integers(1, 40))
+    u = draw(st.integers(0, q - 1))
+    v = draw(st.integers(u + 1, q))
+    return Hole(Fraction(j * q + u, q << m), Fraction(j * q + v, q << m))
+
+
+@hypothesis.given(st.one_of(holes(), prefix_holes()))
+def test_states_outnumber_common_prefix(hole):
+    # the start state and the state after each prefix of the common prefix
+    # are distinct, so the budget may refuse a longer prefix before the build
+    auto = build_automaton(hole)
+    assert auto.n_states > common_prefix_len(hole)
+    assert build_automaton(hole, max_states=auto.n_states).transitions == auto.transitions
+    with pytest.raises(BudgetExceededError):
+        build_automaton(hole, max_states=auto.n_states - 1)
 
 
 @hypothesis.given(st.one_of(holes(), central_holes()))

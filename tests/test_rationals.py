@@ -6,17 +6,17 @@ import pytest
 from dbhole.rationals import (
     BudgetExceededError,
     binary_expansion,
-    doubling_map,
     format_fraction,
+    format_short,
     lex_max_expansion,
     lex_min_expansion,
-    orbit,
     parse_fraction,
     pi_value,
 )
-from dbhole.words import EvPeriodicWord, lex_compare
+from dbhole.words import EvPeriodicWord
 from dbhole.holes import gap_interval
 from dbhole.words import cf_of_fraction
+from oracles import doubling_map, lex_compare, orbit
 
 F = Fraction
 
@@ -177,6 +177,25 @@ def test_alpha_expansion_purely_periodic_and_orbit_closes():
             for _ in range(q):
                 x = doubling_map(x)
             assert x == gap.alpha
+
+
+@pytest.mark.parametrize("odd", [
+    pytest.param(10**30 + 1, id="period"),  # 2 has order about 3.8e16 modulo it
+    pytest.param(3 * 2**98 - 1, id="trial-division"),  # no factor below 1.4e14
+])
+def test_expansion_budget_message_names_a_huge_denominator_by_size(odd):
+    # 2^15000 has 4,516 digits, past the 4,300 that Python writes in decimal
+    q = odd << 15000
+    with pytest.raises(BudgetExceededError, match=f"denominator <{q.bit_length()}-bit integer>"):
+        binary_expansion(F(1, q))
+
+
+def test_format_short():
+    assert format_short(F(2, 3)) == "2/3"
+    assert format_short(F(5)) == "5"
+    assert format_short(-(1 << 332)) == "-<333-bit integer>"
+    assert format_short((1 << 332) - 1) == str((1 << 332) - 1)
+    assert format_short(F(1, 1 << 400)) == "1/<401-bit integer>"
 
 
 def test_fraction_io():

@@ -6,18 +6,15 @@ from fractions import Fraction
 
 from dbhole.words import (
     EvPeriodicWord,
-    LESS, EQUAL, GREATER,
     cf_of_fraction,
     characteristic_prefix,
     check_cf,
     convergents,
     cyclic_extremes,
-    farey_parents,
-    is_balanced,
-    lex_compare,
     standard_words,
     thue_morse,
 )
+from oracles import EQUAL, GREATER, LESS, is_balanced, lex_compare
 
 
 def test_standard_words_examples():
@@ -153,34 +150,6 @@ def test_thue_morse():
     assert thue_morse(8) == "01101001"
     assert thue_morse(16) == "0110100110010110"
     assert thue_morse(1) == "0"
-
-
-@pytest.mark.parametrize("p,q,left,right", [
-    (1, 2, Fraction(0, 1), Fraction(1, 1)),
-    (2, 5, Fraction(1, 3), Fraction(1, 2)),
-    (1, 3, Fraction(0, 1), Fraction(1, 2)),
-])
-def test_farey_parents(p, q, left, right):
-    assert farey_parents(p, q) == (left, right)
-
-
-def test_farey_parents_mediant_property():
-    for q in range(2, 40):
-        for p in range(1, q):
-            if Fraction(p, q).denominator != q:
-                continue
-            left, right = farey_parents(p, q)
-            assert left < Fraction(p, q) < right
-            med = Fraction(left.numerator + right.numerator,
-                           left.denominator + right.denominator)
-            assert med == Fraction(p, q)
-
-
-def test_farey_parents_rejects_bad_input():
-    with pytest.raises(ValueError):
-        farey_parents(2, 4)
-    with pytest.raises(ValueError):
-        farey_parents(3, 2)
 
 
 def test_cf_of_fraction_round_trip():
