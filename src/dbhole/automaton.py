@@ -62,8 +62,7 @@ class Hole(namedtuple("Hole", "a b")):
         return f"({format_short(self.a)}, {format_short(self.b)})"
 
 
-class SurvivorAutomaton(namedtuple("SurvivorAutomaton", "transitions live components hole",
-                                   defaults=(None,))):
+class SurvivorAutomaton(namedtuple("SurvivorAutomaton", "transitions live components")):
     """Deterministic partial automaton over {0, 1}.
 
     ``transitions[s]`` is a pair (target on 0, target on 1) with -1 for a
@@ -72,7 +71,6 @@ class SurvivorAutomaton(namedtuple("SurvivorAutomaton", "transitions live compon
     ``components`` lists the strongly connected components with an internal
     edge, in reverse topological order, as (states, is_cycle) pairs; every
     state on a cycle is in one.  A simple cycle lists its states in order.
-    ``hole`` is the Hole it was built for, or None.
     """
 
     __slots__ = ()
@@ -107,17 +105,6 @@ class SurvivorAutomaton(namedtuple("SurvivorAutomaton", "transitions live compon
         if live_only:
             return sum(c for s, c in vec.items() if self.live[s])
         return sum(vec.values())
-
-    def dump(self) -> str:
-        """Deterministic text form: one "state symbol -> state" line per edge."""
-        lines = [f"states: {self.n_states}", "start: 0"]
-        lines.append("live: " + " ".join(str(s) for s in range(self.n_states) if self.live[s]))
-        for s, (t0, t1) in enumerate(self.transitions):
-            if t0 >= 0:
-                lines.append(f"{s} 0 -> {t0}")
-            if t1 >= 0:
-                lines.append(f"{s} 1 -> {t1}")
-        return "\n".join(lines) + "\n"
 
 
 def _graph_sccs(succ) -> tuple[list[tuple[list[int], bool]], list[bool]]:
@@ -284,4 +271,4 @@ def build_automaton(hole: Hole, max_states: int = 1_000_000) -> SurvivorAutomato
         if n > max_states:
             raise BudgetExceededError(f"automaton for {hole} exceeds {max_states} states")
     comps, live = _graph_sccs(trans)
-    return SurvivorAutomaton(trans, live, comps, hole)
+    return SurvivorAutomaton(trans, live, comps)

@@ -117,15 +117,15 @@ def _entry_sort_key(entry: CatalogEntry):
     return (left, entry.family)
 
 
-def catalog(max_q: int, sturmian_samples=(), degenerate_samples: int = 9,
-            precision_bits: int = 30) -> list[CatalogEntry]:
+def catalog(max_q: int, sturmian_samples=(),
+            degenerate_samples: int = 9) -> list[CatalogEntry]:
     """The supercritical holes with gap parameters up to denominator max_q.
 
     Contains every gap-endpoint hole (alpha, alpha + 1/4) and (beta, beta +
     1/4) for reduced p/q < 1/2 with q <= max_q, the hole (1/3, 7/12), a
     sample of the degenerate continuum (alpha, 1/2) with alpha equally spaced
-    in [0, 1/4], bracketed Sturmian holes for the requested slope prefixes,
-    and the 0<->1 mirror of every entry.
+    in [0, 1/4], Sturmian holes for the requested slope prefixes bracketed
+    to 30 bits, and the 0<->1 mirror of every entry.
     """
     if max_q < 2:
         raise ValueError("max_q must be >= 2")
@@ -159,10 +159,10 @@ def catalog(max_q: int, sturmian_samples=(), degenerate_samples: int = 9,
             ))
 
     for cf in sturmian_samples:
-        hole = sturmian_hole(cf, precision_bits)
+        hole = sturmian_hole(cf, 30)
         entries.append(CatalogEntry(
             "sturmian", hole.left, hole.right,
-            {"cf_prefix": list(hole.cf_prefix), "precision_bits": precision_bits},
+            {"cf_prefix": list(hole.cf_prefix), "precision_bits": hole.precision_bits},
         ))
 
     entries.extend([e.mirror() for e in entries])

@@ -30,14 +30,6 @@ class Kind(str, Enum):
     POSITIVE_ENTROPY = "PositiveEntropy"
 
 
-_KIND_ORDER = {Kind.FIXED_ONLY: 0, Kind.COUNTABLE_CYCLES: 1, Kind.POSITIVE_ENTROPY: 2}
-
-
-def kind_rank(kind: Kind) -> int:
-    """FixedOnly < CountableCycles < PositiveEntropy."""
-    return _KIND_ORDER[Kind(kind)]
-
-
 class Classification(namedtuple("Classification",
                                 "kind cycles zero_loop entropy_lo entropy_hi")):
     """Outcome of classify().
@@ -71,6 +63,10 @@ def _zero_max_rotation(w: str) -> str:
 # visits: about 25 times what the 10,020-state component of
 # (3335/10007, 3336/10007) needs.
 PERRON_WORK_BUDGET = 50_000_000
+# Largest width of an entropy bracket.  The Perron roots of M + I are
+# bracketed to a quarter of it, relatively, so the log bracket of a root
+# rho >= 1 of M is at most half of it plus the float pad.
+ENTROPY_WIDTH = Fraction(1, 10**10)
 
 
 def _perron_bracket(succ: list[list[int]], rel_tol: Fraction) -> tuple[Fraction, Fraction]:
@@ -112,26 +108,19 @@ def _perron_bracket(succ: list[list[int]], rel_tol: Fraction) -> tuple[Fraction,
     )
 
 
-def _check_entropy_tol(tol) -> None:
-    if not 1e-12 < tol < math.inf:
-        raise ValueError(f"entropy tol must be finite and above 1e-12, got {tol}")
-
-
-def entropy(auto: SurvivorAutomaton, tol: float = 1e-10) -> tuple[float, float]:
+def entropy(auto: SurvivorAutomaton) -> tuple[float, float]:
     """Certified bracket for the topological entropy of the live subgraph.
 
     Exactly (0.0, 0.0) when every strongly connected component is a single
-    cycle; otherwise a bracket of width at most ``tol`` around log of the
-    Perron root of the live adjacency matrix.  ``tol`` must be finite and
-    exceed 1e-12, as the +-1e-13 float pad alone makes the bracket 2e-13 wide.
+    cycle; otherwise a bracket at most ``ENTROPY_WIDTH`` wide around log of
+    the Perron root of the live adjacency matrix.
     """
-    _check_entropy_tol(tol)
     if not any(auto.live):
         raise ValueError("entropy undefined: automaton has no live states")
     branching = [states for states, is_cycle in auto.components if not is_cycle]
     if not branching:
         return (0.0, 0.0)
-    rel = Fraction(tol).limit_denominator(10**15) / 4
+    rel = ENTROPY_WIDTH / 4
     lam_lo, lam_hi = Fraction(1), Fraction(1)
     for comp in branching:
         idx = {s: i for i, s in enumerate(comp)}
@@ -145,17 +134,15 @@ def entropy(auto: SurvivorAutomaton, tol: float = 1e-10) -> tuple[float, float]:
     return (h_lo, h_hi)
 
 
-def classify(hole: Hole, max_states: int = 1_000_000,
-             entropy_tol: float = 1e-10) -> Classification:
+def classify(hole: Hole, max_states: int = 1_000_000) -> Classification:
     """Exact classification of the survivor set of an open hole."""
-    _check_entropy_tol(entropy_tol)
     auto = build_automaton(hole, max_states=max_states)
     # the 0-loop state may sit inside a branching component (points can jump
     # across a hole with 2a >= b), so look for the self-loop itself
     zero_loop = any(live and auto.transitions[s][0] == s
                     for s, live in enumerate(auto.live))
     if not all(is_cycle for _, is_cycle in auto.components):
-        lo, hi = entropy(auto, tol=entropy_tol)
+        lo, hi = entropy(auto)
         return Classification(Kind.POSITIVE_ENTROPY, (), zero_loop, lo, hi)
     # every component is a simple cycle; a state reads 0 if its 0-edge goes to the next
     trans = auto.transitions
@@ -211,10 +198,10 @@ def _sigma_n_chain(n: int) -> SurvivorAutomaton:
     return SurvivorAutomaton.from_transitions([(n, 0)] + [(-1, k - 1) for k in range(1, n + 1)])
 
 
-def sigma_n_dimension(n: int, tol: float = 1e-11) -> float:
+def sigma_n_dimension(n: int) -> float:
     """Hausdorff dimension of the set coded by "every 0 is followed by at
     least n ones": log2 of the Perron root of the chain graph."""
-    lo, hi = entropy(_sigma_n_chain(n), tol)
+    lo, hi = entropy(_sigma_n_chain(n))
     return (lo + hi) / (2 * math.log(2))
 
 

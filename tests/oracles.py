@@ -30,6 +30,9 @@ is_trap (gap recursion)        reference_is_trap            test_is_trap_matches
 is_trap (verdicts)             trap_by_automaton            test_is_trap_agrees_with_automaton_criterion
 sigma_n_matrix_word_count      transfer_matrix_count        test_sigma_counts_match_transfer_matrix
 sigma_n_matrix_word_count      brute_sigma_count            test_sigma_counts_match_bruteforce
+*test_holes.py*
+holes.catalog (the theorem)    grid_search                  test_grid_search_returns_the_catalog
+test_supercritical (one eps)   grid_supercritical           test_near_misses_pass_one_epsilon_only
 *test_kernels.py*
 kernels.cylinder_counts        reference_counts             test_pure_kernel_matches_reference,
                                                             test_kernel_matches_reference_on_random_holes
@@ -44,6 +47,9 @@ step but not of the build.
 necklace filter, not with the Lyndon-word scan it checks, and
 ``trap_by_automaton`` decides traps from the automaton alone: from its
 components' cycle flags and the words read along their cycle order.
+``grid_search`` runs the paper's theorem backwards: it tests every grid pair
+around 1/2 for supercriticality, from the closed-trap criterion and the
+component flags of shrunken holes, and must find exactly the catalog.
 """
 
 import itertools
@@ -356,6 +362,33 @@ def trap_by_automaton(c, d):
         if c not in points and d not in points:
             return False
     return True
+
+
+def grid_points(max_j):
+    """Every k/(4(2^j - 1)) in (0, 1) for 1 <= j <= max_j, in increasing
+    order.  The gap endpoints for p/q have denominator 4(2^q - 1), and
+    1/3 = 4/12, so the grid holds every catalog entry with q <= max_j."""
+    return sorted({F(k, 4 * ((1 << j) - 1))
+                   for j in range(1, max_j + 1) for k in range(1, 4 * ((1 << j) - 1))})
+
+
+def grid_supercritical(a, b, ks=range(12, 41, 4)):
+    """The paper's definition, tested without a Perron step: [a, b] is a
+    closed trap, and for every k in ``ks`` the inner hole (a + 2^-k,
+    b - 2^-k) keeps a branching survivor component."""
+    return trap_by_automaton(a, b) and all(
+        not all(is_cycle for _, is_cycle in
+                build_automaton(Hole(a + F(1, 1 << k), b - F(1, 1 << k))).components)
+        for k in ks)
+
+
+def grid_search(max_j):
+    """The pairs a <= 1/2 <= b, a < b, of grid_points(max_j) that
+    grid_supercritical accepts."""
+    points = grid_points(max_j)
+    half = F(1, 2)
+    return {(a, b) for a in points if a <= half for b in points
+            if b >= half and a < b and grid_supercritical(a, b)}
 
 
 def brute_sigma_count(n, length):

@@ -19,7 +19,6 @@ from dbhole.survivor import (
     cylinder_counts,
     enumerate_surviving_cycles,
     is_trap,
-    kind_rank,
     locate_entropy_transition,
     sigma_n_dimension,
     sigma_n_matrix_word_count,
@@ -222,7 +221,7 @@ def test_criterion_9_property_suites():
 
     # containment monotonicity along a chain of shrinking symmetric holes
     chain = [F(1, 4), F(3, 10), F(1, 3), F(2, 5), F(41, 100), F(21, 50), F(9, 20)]
-    ranks = [kind_rank(classify(Hole(a, 1 - a)).kind) for a in chain]
+    ranks = [list(Kind).index(classify(Hole(a, 1 - a)).kind) for a in chain]
     assert ranks == sorted(ranks)
     tops = [classify(Hole(a, 1 - a)).entropy_hi for a in chain]
     assert all(later >= earlier - 1e-10 for earlier, later in zip(tops, tops[1:]))

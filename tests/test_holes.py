@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from dbhole.automaton import Hole, build_automaton
 from dbhole.holes import (
     catalog,
     certify_entry,
@@ -14,6 +15,7 @@ from dbhole.holes import test_supercritical as run_supercritical
 from dbhole.rationals import binary_expansion, pi_value
 from dbhole.survivor import Kind
 from dbhole.words import cf_of_fraction
+from oracles import grid_points, grid_search, grid_supercritical
 
 F = Fraction
 EPS = F(1, 1024)
@@ -156,7 +158,7 @@ def test_certification_at_coarser_epsilon():
 
 
 def test_certify_mirrored_sturmian_entry():
-    entries = catalog(3, sturmian_samples=[(1, 1, 1, 1, 1, 1, 1, 1)], precision_bits=40)
+    entries = catalog(3, sturmian_samples=[(1, 1, 1, 1, 1, 1, 1, 1)])
     mirrored = [e for e in entries if e.family == "sturmian-mirror"]
     assert len(mirrored) == 1
     assert certify_entry(mirrored[0], F(1, 256)).passed
@@ -203,3 +205,50 @@ def test_certify_entry_marks_catalog():
     report = certify_entry(rational[0], EPS)
     assert rational[0].certified is report.passed
     assert rational[0].epsilon == EPS
+
+
+def check_grid_search(max_j):
+    """The paper's theorem on the grid of ``max_j``: the supercritical holes
+    among its pairs are the rational catalog entries with q <= max_j, their
+    mirrors, and the degenerate holes (alpha, 1/2) and (1/2, 1 - alpha) with
+    alpha <= 1/4.  Returns the holes found.  Run it at J = 6 (44,099 pairs,
+    about 5 s) with
+
+        PYTHONPATH=src:tests python -c "from test_holes import check_grid_search as c; print(len(c(6)))"
+    """
+    points = grid_points(max_j)
+    half, quarter = F(1, 2), F(1, 4)
+    entries = catalog(max_j)
+    rational = {(e.left, e.right) for e in entries
+                if e.family.removesuffix("-mirror") in ("gap-alpha", "gap-beta", "one-third")}
+    # so that no entry drops out unseen, every one is a grid pair; the
+    # degenerate samples, at alpha = i/32, mostly lie off the grid, and those
+    # on it must be expected too
+    grid = set(points)
+    assert all(left in grid and right in grid for left, right in rational)
+    expected = (rational | {(x, half) for x in points if x <= quarter}
+                | {(half, 1 - x) for x in points if x <= quarter})
+    assert {(e.left, e.right) for e in entries
+            if e.left in grid and e.right in grid} <= expected
+    found = grid_search(max_j)
+    assert found == expected, (sorted(found - expected), sorted(expected - found))
+    return found
+
+
+def test_grid_search_returns_the_catalog():
+    assert len(check_grid_search(4)) == 52  # of 1,763 pairs
+
+
+@pytest.mark.parametrize("left, right", [
+    pytest.param(F(61, 124), F(187, 252), id="near-miss"),
+    pytest.param(F(65, 252), F(63, 124), id="near-miss-mirror"),
+])
+def test_near_misses_pass_one_epsilon_only(left, right):
+    # a pass at one epsilon, or the grid rule with k = 12 alone, accepts the
+    # hole; shrinking it further leaves no branching component
+    assert all(run_supercritical(left, right, F(1, 2**k)).passed for k in (10, 12))
+    assert left in grid_points(6) and right in grid_points(6)
+    assert grid_supercritical(left, right, ks=(12,))
+    for k in (14, 16, 18, 20):
+        inner = build_automaton(Hole(left + F(1, 2**k), right - F(1, 2**k)))
+        assert all(is_cycle for _, is_cycle in inner.components), k

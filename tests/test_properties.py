@@ -16,7 +16,6 @@ from dbhole.survivor import (  # noqa: E402
     classify,
     cylinder_counts,
     enumerate_surviving_cycles,
-    kind_rank,
 )
 from oracles import common_prefix_len  # noqa: E402
 
@@ -93,7 +92,7 @@ def test_mirror_hole_has_mirrored_classification(hole):
 def test_larger_hole_never_ranks_higher(pair):
     larger, smaller = pair
     big, small = classify(larger), classify(smaller)
-    assert kind_rank(big.kind) <= kind_rank(small.kind)
+    assert list(Kind).index(big.kind) <= list(Kind).index(small.kind)
     assert big.entropy_lo <= small.entropy_hi
 
 
