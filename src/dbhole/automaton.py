@@ -203,35 +203,31 @@ def build_automaton(hole: Hole, max_states: int = 1_000_000) -> SurvivorAutomato
     qa, qb = hole.a.denominator, hole.b.denominator
     ca, cb = hole.a.numerator, hole.b.numerator
 
-    # each prefix of the common prefix ends in a state of its own, so one of
-    # more than max_states symbols is refused before the loop below, whose
-    # cost grows with its square.  A and B share their first k symbols when
-    # floor(a 2^k) = ceil(b 2^k) - 1, which needs b - a <= 2^-k: the bit
-    # lengths of (b - a) qa qb and qa qb rule that out for all but tiny holes.
-    k = max_states + 1
-    if ((cb * qa - ca * qb).bit_length() + k <= (qa * qb).bit_length()
-            and (ca << k) // qa == ((cb << k) - 1) // qb):
+    # A's first k symbols read floor(a 2^k) and B's read ceil(b 2^k) - 1, so
+    # they share cstar = k - bitlen(x ^ y) of them.  Sharing c symbols needs
+    # b - a <= 2^-c, which puts c below the window k; k is cut at
+    # max_states + 2, since a prefix of more than max_states symbols (each
+    # ending in a state of its own) is refused before the build.
+    k = min((qa * qb).bit_length() - (cb * qa - ca * qb).bit_length() + 2, max_states + 2)
+    x, y = (ca << k) // qa, ((cb << k) - 1) // qb
+    cstar = k - (x ^ y).bit_length()
+    if cstar > max_states:
         raise BudgetExceededError(
             f"endpoints of {hole} share more than {max_states} leading binary digits, "
             f"so its automaton exceeds {max_states} states"
         )
-
-    # common prefix of A and B; they differ since a < b, and at the first
-    # difference A carries 0, B carries 1
-    common = []
-    while (2 * ca >= qa) == (2 * cb > qb):
-        ch = int(2 * ca >= qa)
-        common.append(ch)
-        ca, cb = 2 * ca - ch * qa, 2 * cb - ch * qb
-    cstar = len(common)
+    # the prefix, and the endpoint tails after it; A and B differ since
+    # a < b, and at the first difference A carries 0, B carries 1
+    head = x >> (k - cstar)
+    ca, cb = (ca << cstar) - head * qa, (cb << cstar) - head * qb
     a_first = 2 * ca
     b_first = 2 * cb - qb
 
     # Shift-And over the common prefix: bit i of a tie mask says the suffix
     # read so far ties with its first i symbols, and m0 (m1) holds bit i when
     # symbol i is 0 (1); bit cstar (a tie with the whole prefix) goes on to
-    # an A tie on 0 or a B tie on 1
-    m1 = sum(ch << i for i, ch in enumerate(common))
+    # an A tie on 0 or a B tie on 1; m1 is the prefix read backwards
+    m1 = int(bin(head)[:1:-1], 2) << (cstar - head.bit_length())
     m0 = m1 ^ ((1 << cstar) - 1)
     # a state is (tie mask, A tie, B tie), its id its place in the queue; no
     # A tie is the tail value 1 (qa) and no B tie the value 0: doubling keeps

@@ -66,10 +66,12 @@ def pi_value(w: EvPeriodicWord) -> Fraction:
     return Fraction(head * ((1 << p) - 1) + body, (1 << m) * ((1 << p) - 1))
 
 
-# Expansion budgets: trial division stops at this divisor, and no period
-# longer than this many symbols is written out.
+# Expansion budgets: trial division stops at this divisor, no period longer
+# than this many symbols is written out, and no modular power of 2 is taken
+# modulo an odd part wider than this many bits.
 MAX_TRIAL_DIVISOR = 1 << 22
 MAX_PERIOD = 1 << 20
+MAX_ODD_BITS = 4096
 
 
 def _factorize(n: int) -> dict[int, int]:
@@ -98,8 +100,11 @@ def _multiplicative_order_of_two(v: int) -> int:
     """Order of 2 modulo odd v >= 1.
 
     Memoised; a BudgetExceededError is not cached, so it is raised again on
-    every call.
+    every call.  A v wider than ``MAX_ODD_BITS`` bits raises it before any
+    modular power.
     """
+    if v.bit_length() > MAX_ODD_BITS:
+        raise BudgetExceededError(f"odd part has {v.bit_length()} bits, above {MAX_ODD_BITS}")
     if v == 1:
         return 1
     if pow(2, v - 1, v) == 1:
@@ -124,9 +129,10 @@ def binary_expansion(x: Fraction) -> EvPeriodicWord:
 
     The preperiod length is the 2-adic valuation of the denominator and the
     period length is the multiplicative order of 2 modulo its odd part, so no
-    digit-by-digit division is needed.  A denominator whose odd part needs a
-    trial divisor above ``MAX_TRIAL_DIVISOR``, or whose period is longer than
-    ``MAX_PERIOD`` symbols, raises BudgetExceededError.
+    digit-by-digit division is needed.  A denominator whose odd part is wider
+    than ``MAX_ODD_BITS`` bits or needs a trial divisor above
+    ``MAX_TRIAL_DIVISOR``, or whose period is longer than ``MAX_PERIOD``
+    symbols, raises BudgetExceededError.
     """
     x = Fraction(x)
     p, q = x.numerator, x.denominator

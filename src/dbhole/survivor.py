@@ -233,38 +233,24 @@ class TrapReport(namedtuple("TrapReport", "trapped residual_measure escape_witne
 def _certify_trapped(gaps: list[tuple[Fraction, Fraction]]) -> bool:
     """True when no point of (0, 1) can stay inside the gaps forever.
 
-    Builds the directed overlap graph of gap images under 2x mod 1.  End gaps
-    at 0 and 1 lose their self-loop (doubling expels every interior point in
-    finite time).  Any other forever-avoiding orbit would settle in one
-    strongly connected component; if that component is a single cycle of
-    gaps, each on one branch of the map, the composed affine return map is
-    expanding with a rational fixed point, so the orbit can only persist at
-    that fixed point -- certified impossible when the fixed point lies in no
-    gap.
+    Needs every gap within (0, 1/2] or [1/2, 1), the first at 0 and the last
+    at 1, as is_trap's gaps are once 1/2 lies in [c, d]; each gap then has
+    one image under 2x mod 1.  Builds the directed overlap graph of those
+    images.  The end gaps lose their self-loop (doubling expels every
+    interior point in finite time).  Any other forever-avoiding orbit would
+    settle in one strongly connected component; if that component is a
+    single cycle of gaps, the composed affine return map is expanding with a
+    rational fixed point, so the orbit can only persist at that fixed point
+    -- certified impossible when the fixed point lies in no gap.
     """
-    n = len(gaps)
-    half = Fraction(1, 2)
-    succ: list[list[int]] = [[] for _ in range(n)]
-    branch: list[int | None] = [None] * n
-    for i, (lo, hi) in enumerate(gaps):
-        pieces = []
-        if lo < half:
-            pieces.append((2 * lo, 2 * min(hi, half), 0))
-        if hi > half:
-            pieces.append((2 * max(lo, half) - 1, 2 * hi - 1, 1))
-        if len(pieces) == 1:
-            branch[i] = pieces[0][2]
-        for plo, phi, _ in pieces:
-            for j, (glo, ghi) in enumerate(gaps):
-                if plo < ghi and glo < phi:
-                    succ[i].append(j)
-    if n and gaps[0][0] == 0 and gaps[0][1] <= half:
-        succ[0] = [j for j in succ[0] if j != 0]
-    if n and gaps[-1][1] == 1 and gaps[-1][0] >= half:
-        succ[-1] = [j for j in succ[-1] if j != n - 1]
+    branch = [int(lo >= Fraction(1, 2)) for lo, _ in gaps]
+    succ = [[j for j, (glo, ghi) in enumerate(gaps) if 2 * lo - s < ghi and glo < 2 * hi - s]
+            for (lo, hi), s in zip(gaps, branch)]
+    succ[0].remove(0)
+    succ[-1].remove(len(gaps) - 1)
 
     for comp, is_cycle in _graph_sccs(succ)[0]:
-        if not is_cycle or any(branch[s] is None for s in comp):
+        if not is_cycle:
             return False
         # the return map's fixed point is the point coded by the cycle's branches
         word = "".join(str(branch[s]) for s in comp)

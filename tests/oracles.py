@@ -27,6 +27,7 @@ survivor._zero_max_rotation    reference_zero_max_rotation  test_zero_max_rotati
 survivor._cycles_avoiding      primitive_necklaces          test_cycle_scan_matches_necklace_filter,
                                                             test_primitive_necklace_counts
 is_trap (gap recursion)        reference_is_trap            test_is_trap_matches_union_reference
+survivor._certify_trapped      reference_certify_trapped    test_is_trap_matches_union_reference
 is_trap (verdicts)             trap_by_automaton            test_is_trap_agrees_with_automaton_criterion
 sigma_n_matrix_word_count      transfer_matrix_count        test_sigma_counts_match_transfer_matrix
 sigma_n_matrix_word_count      brute_sigma_count            test_sigma_counts_match_bruteforce
@@ -44,7 +45,9 @@ survivor.cylinder_counts       recorder (monkeypatched)     test_survivor_dispat
 and live flags and finds no eigenvector, so it is independent of the Perron
 step but not of the build.
 ``reference_is_trap`` finds its escape witnesses with the brute-force
-necklace filter, not with the Lyndon-word scan it checks, and
+necklace filter, not with the Lyndon-word scan it checks, and certifies
+with ``reference_certify_trapped``, the general certificate that also
+takes gaps holding 1/2; ``is_trap`` never builds those.
 ``trap_by_automaton`` decides traps from the automaton alone: from its
 components' cycle flags and the words read along their cycle order.
 ``grid_search`` runs the paper's theorem backwards: it tests every grid pair
@@ -57,9 +60,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from dbhole.automaton import Hole, build_automaton
+from dbhole.automaton import Hole, _graph_sccs, build_automaton
 from dbhole.rationals import BudgetExceededError, lex_max_expansion, lex_min_expansion
-from dbhole.survivor import TrapReport, _certify_trapped
+from dbhole.survivor import TrapReport
 from dbhole.words import check_word
 
 F = Fraction
@@ -309,6 +312,51 @@ def reference_complement_gaps(union):
     return gaps
 
 
+def reference_certify_trapped(gaps: list[tuple[Fraction, Fraction]]) -> bool:
+    """True when no point of (0, 1) can stay inside the gaps forever: the
+    general survivor._certify_trapped, which also takes gaps that hold 1/2.
+
+    Builds the directed overlap graph of gap images under 2x mod 1.  End gaps
+    at 0 and 1 lose their self-loop (doubling expels every interior point in
+    finite time).  Any other forever-avoiding orbit would settle in one
+    strongly connected component; if that component is a single cycle of
+    gaps, each on one branch of the map, the composed affine return map is
+    expanding with a rational fixed point, so the orbit can only persist at
+    that fixed point -- certified impossible when the fixed point lies in no
+    gap.
+    """
+    n = len(gaps)
+    half = Fraction(1, 2)
+    succ: list[list[int]] = [[] for _ in range(n)]
+    branch: list[int | None] = [None] * n
+    for i, (lo, hi) in enumerate(gaps):
+        pieces = []
+        if lo < half:
+            pieces.append((2 * lo, 2 * min(hi, half), 0))
+        if hi > half:
+            pieces.append((2 * max(lo, half) - 1, 2 * hi - 1, 1))
+        if len(pieces) == 1:
+            branch[i] = pieces[0][2]
+        for plo, phi, _ in pieces:
+            for j, (glo, ghi) in enumerate(gaps):
+                if plo < ghi and glo < phi:
+                    succ[i].append(j)
+    if n and gaps[0][0] == 0 and gaps[0][1] <= half:
+        succ[0] = [j for j in succ[0] if j != 0]
+    if n and gaps[-1][1] == 1 and gaps[-1][0] >= half:
+        succ[-1] = [j for j in succ[-1] if j != n - 1]
+
+    for comp, is_cycle in _graph_sccs(succ)[0]:
+        if not is_cycle or any(branch[s] is None for s in comp):
+            return False
+        # the return map's fixed point is the point coded by the cycle's branches
+        word = "".join(str(branch[s]) for s in comp)
+        fixed = Fraction(int(word, 2), (1 << len(comp)) - 1)
+        if any(gaps[t][0] < fixed < gaps[t][1] for t in comp):
+            return False
+    return True
+
+
 def reference_is_trap(c, d, depth=24, tol=F(1, 10**6), witness_max_len=12,
                       max_intervals=20_000, cutoffs=None):
     """is_trap as it was before the gap recursion: grow the covered union of
@@ -338,7 +386,7 @@ def reference_is_trap(c, d, depth=24, tol=F(1, 10**6), witness_max_len=12,
             break
         gaps = reference_complement_gaps(union)
         residual = sum((hi - lo for lo, hi in gaps), F(0))
-        if residual < tol and _certify_trapped(gaps):
+        if residual < tol and reference_certify_trapped(gaps):
             return TrapReport(True, residual, None)
     return TrapReport(None, residual, None)
 

@@ -177,10 +177,13 @@ W12 = F(1, 2**13)               # half of 2^-12
                  id="huge-preperiod-40"),
     pytest.param(Hole(F(1650, 4003), F(1700, 4003)), id="prime-4003"),
     pytest.param(Hole(F(1700, 4019), F(1712, 4019)), id="prime-4019"),
+    pytest.param(Hole(F(1, 2) - F(1, 2**200), F(1, 2) + F(1, 2**200)), id="window-past-prefix"),
 ])
 def test_edge_endpoints_checked_exhaustively(hole):
     # endpoints random_hole never draws: 0, 1, dyadic (b's expansion ends in
-    # 1^inf), denominators near 10^30 and prime denominators beyond 4000
+    # 1^inf), denominators near 10^30, prime denominators beyond 4000, and
+    # endpoints 2^-199 apart around 1/2: they share no symbol, though the
+    # prefix step reads a window of about 200 digits
     assert_prefixes_match_death(hole, 12)
 
 

@@ -1,9 +1,11 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from dbhole.rationals import (
+    MAX_ODD_BITS,
     BudgetExceededError,
     binary_expansion,
     format_fraction,
@@ -188,6 +190,15 @@ def test_expansion_budget_message_names_a_huge_denominator_by_size(odd):
     q = odd << 15000
     with pytest.raises(BudgetExceededError, match=f"denominator <{q.bit_length()}-bit integer>"):
         binary_expansion(F(1, q))
+
+
+def test_odd_part_past_budget_is_refused_before_any_modular_power():
+    # 3^10000 has 15,850 bits; the modular powers that would find its period
+    # run for many seconds
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match=f"odd part has 15850 bits, above {MAX_ODD_BITS}"):
+        binary_expansion(F(1, 3**10000))
+    assert time.perf_counter() - start < 1
 
 
 def test_format_short():
