@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import functools
 import math
+import re
+import sys
 from fractions import Fraction
 
 from .words import EvPeriodicWord
@@ -29,11 +31,21 @@ class BudgetExceededError(RuntimeError):
 
 
 def parse_fraction(text: str) -> Fraction:
-    """Parse "p/q" (or a plain integer) into a Fraction."""
+    """Parse "p/q" (or a plain integer) into a Fraction.
+
+    The error for a malformed argument echoes at most its first 40
+    characters, and names the cause when a number in it has more digits than
+    Python converts from a string (``sys.get_int_max_str_digits``).
+    """
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"malformed fraction {text!r}") from exc
+        shown = repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
+        digits = max(map(len, re.findall(r"[0-9]+", text)), default=0)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        why = (f": a number has {digits} digits, more than the {limit} Python converts from a string"
+               if 0 < limit < digits else "")
+        raise ValueError(f"malformed fraction {shown}{why}") from exc
 
 
 def format_fraction(x: Fraction) -> str:

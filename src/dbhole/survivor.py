@@ -67,6 +67,10 @@ PERRON_WORK_BUDGET = 50_000_000
 # bracketed to a quarter of it, relatively, so the log bracket of a root
 # rho >= 1 of M is at most half of it plus the float pad.
 ENTROPY_WIDTH = Fraction(1, 10**10)
+# Most entropy brackets classify() keeps, a few hundred bytes each; the least
+# recently used is dropped first.
+BRACKET_CACHE_SIZE = 4096
+_brackets: dict[Hole, tuple[float, float]] = {}
 
 
 def _perron_bracket(succ: list[list[int]], rel_tol: Fraction) -> tuple[Fraction, Fraction]:
@@ -135,15 +139,29 @@ def entropy(auto: SurvivorAutomaton) -> tuple[float, float]:
 
 
 def classify(hole: Hole, max_states: int = 1_000_000) -> Classification:
-    """Exact classification of the survivor set of an open hole."""
+    """Exact classification of the survivor set of an open hole.
+
+    A PositiveEntropy bracket is memoised under min(hole, hole.mirror()), so
+    a hole and its mirror pay for one entropy() call; the kind, cycles and
+    zero_loop always come from the hole's own automaton.
+    """
     auto = build_automaton(hole, max_states=max_states)
     # the 0-loop state may sit inside a branching component (points can jump
     # across a hole with 2a >= b), so look for the self-loop itself
     zero_loop = any(live and auto.transitions[s][0] == s
                     for s, live in enumerate(auto.live))
     if not all(is_cycle for _, is_cycle in auto.components):
-        lo, hi = entropy(auto)
-        return Classification(Kind.POSITIVE_ENTROPY, (), zero_loop, lo, hi)
+        # The mirror (1 - b, 1 - a) builds this automaton with 0 and 1
+        # swapped, and _perron_bracket commutes with relabelling the states,
+        # so the two holes share one bracket, bit for bit.
+        key = min(hole, hole.mirror())
+        bracket = _brackets.pop(key, None)
+        if bracket is None:
+            bracket = entropy(auto)
+            if len(_brackets) >= BRACKET_CACHE_SIZE:
+                del _brackets[next(iter(_brackets))]
+        _brackets[key] = bracket
+        return Classification(Kind.POSITIVE_ENTROPY, (), zero_loop, *bracket)
     # every component is a simple cycle; a state reads 0 if its 0-edge goes to the next
     trans = auto.transitions
     cycle_words = ["".join("0" if trans[s][0] == t else "1"

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -42,6 +43,18 @@ def test_classify_malformed_fraction_exits_2(capsys):
     code, _, err = run(capsys, "classify", "x/y", "2/3")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("arg, cause", [("1" * 5000 + "/" + "7" * 5000, "5000 digits"),
+                                        ("x" * 10001, "")],
+                         ids=["past-int-digit-limit", "letters"])
+def test_long_malformed_fraction_gives_one_short_error_line(capsys, arg, cause):
+    if cause and not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000:
+        pytest.skip("this Python reads integers of any length from a string")
+    code, _, err = run(capsys, "classify", "1/3", arg)
+    assert code == 2
+    (line,) = err.splitlines()
+    assert len(line) < 200 and "(10001 characters)" in line and cause in line
 
 
 def test_classify_inverted_hole_exits_2(capsys):

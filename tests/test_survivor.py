@@ -134,6 +134,72 @@ def test_classify_runs_tarjan_once(monkeypatch):
     assert in_entropy == [0]
 
 
+def _positive_entropy_holes(seed, count):
+    """Distinct PositiveEntropy holes, none its own mirror or another's."""
+    rng = random.Random(seed)
+    holes, keys = [], set()
+    while len(holes) < count:
+        q = rng.randrange(5, 60)
+        k = rng.randrange(1, q - 1)
+        hole = Hole(F(k, q), F(k + 1, q))
+        key = min(hole, hole.mirror())
+        if (key not in keys and hole != hole.mirror()
+                and not all(is_cycle for _, is_cycle in build_automaton(hole).components)):
+            holes.append(hole)
+            keys.add(key)
+    return holes
+
+
+@pytest.fixture
+def entropy_calls(monkeypatch):
+    """The automata that classify() hands to entropy(), in call order."""
+    calls = []
+
+    def counted(auto):
+        calls.append(auto)
+        return entropy(auto)
+
+    monkeypatch.setattr(survivor, "entropy", counted)
+    return calls
+
+
+def test_mirror_pair_pays_for_one_bracket(entropy_calls):
+    eps = F(1, 1024)
+    entry = next(e for e in catalog(8) if e.family == "gap-alpha" and e.right - e.left > 2 * eps)
+    mirror = entry.mirror()
+    pair = (Hole(entry.left + eps, entry.right - eps), Hole(mirror.left + eps, mirror.right - eps))
+    assert pair[1] == pair[0].mirror() != pair[0]
+    for hole, other in [pair] + [(h, h.mirror()) for h in _positive_entropy_holes(20, 4)]:
+        entropy_calls.clear()
+        cls, mirrored = classify(hole), classify(other)
+        assert cls.kind is mirrored.kind is Kind.POSITIVE_ENTROPY
+        assert len(entropy_calls) == 1
+        assert (mirrored.entropy_lo, mirrored.entropy_hi) == (cls.entropy_lo, cls.entropy_hi)
+
+
+def test_perron_budget_failure_is_not_memoised(monkeypatch, entropy_calls):
+    hole = Hole(F(21, 50), F(29, 50))
+    with monkeypatch.context() as budget:
+        budget.setattr(survivor, "PERRON_WORK_BUDGET", 100)
+        for _ in range(2):
+            with pytest.raises(BudgetExceededError):
+                classify(hole)
+    assert len(entropy_calls) == 2 and not survivor._brackets
+    cls = classify(hole)
+    assert len(entropy_calls) == 3
+    assert cls.kind is Kind.POSITIVE_ENTROPY and 0 < cls.entropy_lo <= cls.entropy_hi
+
+
+def test_bracket_memo_drops_least_recently_used(monkeypatch):
+    monkeypatch.setattr(survivor, "BRACKET_CACHE_SIZE", 4)
+    holes = _positive_entropy_holes(7, 6)
+    keys = [min(h, h.mirror()) for h in holes]
+    for hole in holes[:4] + [holes[0]] + holes[4:]:
+        classify(hole)
+    # holes[0] was used again before holes[4] arrived, so holes[1] went first
+    assert list(survivor._brackets) == [keys[3], keys[0], keys[4], keys[5]]
+
+
 def test_perron_bracket_matches_dense_reference():
     rel = survivor.ENTROPY_WIDTH / 4
     rng = random.Random(11)
