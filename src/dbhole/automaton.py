@@ -8,22 +8,23 @@ lexicographically smallest representation of b, this is the condition
     for every k:   sigma^k w <= A   or   sigma^k w >= B
 
 and it can be tracked with finitely many suffix-match states because A and B
-are eventually periodic.  Each state records which prefixes of the common
-prefix of A and B the recent suffixes of the input still tie with, as a
-bitmask advanced Shift-And style (bit i: a tie with the first i symbols),
-and the binding tie against each endpoint; a tie that breaks upward past A
-while still below B pins the tail value strictly inside the hole and kills
-the path.  A tie is named by the value of the endpoint tail still to match, as
-its numerator over that endpoint's denominator: the tail reads 1 when the
-value is at least (A) or above (B) one half, and moves on by doubling.  No
-two tails of one word are the two expansions of a dyadic rational, so
-lexicographic order on the tails is the numeric order of their numerators.
-Ties against A (resp. B) are conjunctive constraints, so only the binding
-one -- the smallest (resp. largest) remaining tail -- needs to be kept, which
-bounds the state count by a polynomial in the expansion lengths.  Each state
-reads 0 and 1 once: a B tie whose tail reads 1 kills the 0-edge (the tail
-falls strictly inside the hole), an A tie whose tail reads 0 kills the
-1-edge, and otherwise both ties move on by doubling.  So the build does
+are eventually periodic.  Each state records the longest prefix of the
+common prefix of A and B that the input read so far ends with, as one KMP
+border length (Knuth, Morris & Pratt 1977): the shorter prefixes it ends
+with are that prefix's border chain, so one int names every such tie.  It
+also records the binding tie against each endpoint; a tie that breaks
+upward past A while still below B pins the tail value strictly inside the
+hole and kills the path.  A tie is named by the value of the endpoint tail
+still to match, as its numerator over that endpoint's denominator: the tail
+reads 1 when the value is at least (A) or above (B) one half, and moves on
+by doubling.  No two tails of one word are the two expansions of a dyadic
+rational, so lexicographic order on the tails is the numeric order of their
+numerators.  Ties against A (resp. B) are conjunctive constraints, so only
+the binding one -- the smallest (resp. largest) remaining tail -- needs to be
+kept, which bounds the state count by a polynomial in the expansion lengths.
+Each state reads 0 and 1 once: a B tie whose tail reads 1 kills the 0-edge
+(the tail falls strictly inside the hole), an A tie whose tail reads 0 kills
+the 1-edge, and otherwise both ties move on by doubling.  So the build does
 constant work per state and edge, whatever the period.
 
 Liveness comes from the SCC condensation (Lind & Marcus, ch. 4): one Tarjan
@@ -185,6 +186,28 @@ def _graph_sccs(succ) -> tuple[list[tuple[list[int], bool]], list[bool]]:
     return comps, live
 
 
+def _border_steps(head: int, cstar: int) -> tuple[list[int], list[int]]:
+    """KMP step tables (Knuth, Morris & Pratt 1977) of the cstar-digit word
+    ``head``: entry j of the first (second) is the border after reading 0 (1)
+    at border j.
+
+    The border j is the longest prefix of the word that the input read so
+    far ends with, and the shorter prefixes it ends with are exactly j's
+    border chain.  r walks the border reached by the word's own digits 1 to
+    j - 1, whose row a mismatch at j falls back to.  At j == cstar (the
+    whole word) no digit extends the match, so both fall back.
+    """
+    step = [0] * (cstar + 1), [0] * (cstar + 1)
+    r = 0
+    for j, c in enumerate(map(int, bin(head | 1 << cstar)[3:])):
+        step[0][j], step[1][j] = step[0][r], step[1][r]
+        step[c][j] = j + 1
+        if j:
+            r = step[c][r]
+    step[0][cstar], step[1][cstar] = step[0][r], step[1][r]
+    return step
+
+
 def build_automaton(hole: Hole, max_states: int = 1_000_000) -> SurvivorAutomaton:
     """Automaton whose infinite paths are exactly the survivor codings of the hole.
 
@@ -223,22 +246,16 @@ def build_automaton(hole: Hole, max_states: int = 1_000_000) -> SurvivorAutomato
     a_first = 2 * ca
     b_first = 2 * cb - qb
 
-    # Shift-And over the common prefix: bit i of a tie mask says the suffix
-    # read so far ties with its first i symbols, and m0 (m1) holds bit i when
-    # symbol i is 0 (1); bit cstar (a tie with the whole prefix) goes on to
-    # an A tie on 0 or a B tie on 1; m1 is the prefix read backwards
-    m1 = int(bin(head)[:1:-1], 2) << (cstar - head.bit_length())
-    m0 = m1 ^ ((1 << cstar) - 1)
-    # a state is (tie mask, A tie, B tie), its id its place in the queue; no
+    step0, step1 = _border_steps(head, cstar)
+    # a state is (KMP border, A tie, B tie), its id its place in the queue; no
     # A tie is the tail value 1 (qa) and no B tie the value 0: doubling keeps
     # them, they never kill an edge, and every real tie binds tighter
     queue = [(0, qa, 0)]
     ids = {queue[0]: 0}
     n = 1  # states so far
     trans: list[tuple[int, int]] = []
-    for mask, amin, bmax in queue:
-        mask |= 1  # a suffix starting at the next symbol ties with the empty prefix
-        full = mask >> cstar & 1
+    for j, amin, bmax in queue:
+        full = j == cstar
         a2, b2 = 2 * amin, 2 * bmax
         # on 0 the path dies if the B tie reads 1 (its tail falls strictly
         # inside the hole), on 1 if the A tie reads 0; an A tie reading 1 on
@@ -249,7 +266,7 @@ def build_automaton(hole: Hole, max_states: int = 1_000_000) -> SurvivorAutomato
             namin = a2 if a2 < qa else qa
             if full and a_first < namin:
                 namin = a_first
-            nstate = ((mask & m0) << 1, namin, b2)
+            nstate = (step0[j], namin, b2)
             t0 = ids.setdefault(nstate, n)
             if t0 == n:
                 queue.append(nstate)
@@ -258,7 +275,7 @@ def build_automaton(hole: Hole, max_states: int = 1_000_000) -> SurvivorAutomato
             nbmax = b2 - qb if b2 > qb else 0
             if full and b_first > nbmax:
                 nbmax = b_first
-            nstate = ((mask & m1) << 1, a2 - qa, nbmax)
+            nstate = (step1[j], a2 - qa, nbmax)
             t1 = ids.setdefault(nstate, n)
             if t1 == n:
                 queue.append(nstate)
@@ -266,5 +283,7 @@ def build_automaton(hole: Hole, max_states: int = 1_000_000) -> SurvivorAutomato
         trans.append((t0, t1))
         if n > max_states:
             raise BudgetExceededError(f"automaton for {hole} exceeds {max_states} states")
+    # the index is done with: the SCC pass peaks at its own arrays and the output
+    del ids, queue, step0, step1
     comps, live = _graph_sccs(trans)
     return SurvivorAutomaton(trans, live, comps)

@@ -70,7 +70,7 @@ ENTROPY_WIDTH = Fraction(1, 10**10)
 # Most entropy brackets classify() keeps, a few hundred bytes each; the least
 # recently used is dropped first.
 BRACKET_CACHE_SIZE = 4096
-_brackets: dict[Hole, tuple[float, float]] = {}
+_brackets: dict[tuple[int, int, int, int], tuple[float, float]] = {}
 
 
 def _perron_bracket(succ: list[list[int]], rel_tol: Fraction) -> tuple[Fraction, Fraction]:
@@ -129,6 +129,7 @@ def entropy(auto: SurvivorAutomaton) -> tuple[float, float]:
     for comp in branching:
         idx = {s: i for i, s in enumerate(comp)}
         succ = [[idx[t] for t in auto.transitions[s] if t in idx] for s in comp]
+        del idx  # Perron peaks at its own vectors, not at the index too
         lo, hi = _perron_bracket(succ, rel)
         lam_lo = max(lam_lo, lo)
         lam_hi = max(lam_hi, hi)
@@ -141,9 +142,10 @@ def entropy(auto: SurvivorAutomaton) -> tuple[float, float]:
 def classify(hole: Hole, max_states: int = 1_000_000) -> Classification:
     """Exact classification of the survivor set of an open hole.
 
-    A PositiveEntropy bracket is memoised under min(hole, hole.mirror()), so
-    a hole and its mirror pay for one entropy() call; the kind, cycles and
-    zero_loop always come from the hole's own automaton.
+    A PositiveEntropy bracket is memoised under the smaller of the
+    endpoints' integers (pa, qa, pb, qb) and the mirror's, so a hole and its
+    mirror pay for one entropy() call; the kind, cycles and zero_loop always
+    come from the hole's own automaton.
     """
     auto = build_automaton(hole, max_states=max_states)
     # the 0-loop state may sit inside a branching component (points can jump
@@ -153,8 +155,10 @@ def classify(hole: Hole, max_states: int = 1_000_000) -> Classification:
     if not all(is_cycle for _, is_cycle in auto.components):
         # The mirror (1 - b, 1 - a) builds this automaton with 0 and 1
         # swapped, and _perron_bracket commutes with relabelling the states,
-        # so the two holes share one bracket, bit for bit.
-        key = min(hole, hole.mirror())
+        # so the two holes share one bracket, bit for bit.  Both are in
+        # lowest terms, so (1 - b, 1 - a) reads (qb - pb, qb, qa - pa, qa).
+        (pa, qa), (pb, qb) = hole.a.as_integer_ratio(), hole.b.as_integer_ratio()
+        key = min((pa, qa, pb, qb), (qb - pb, qb, qa - pa, qa))
         bracket = _brackets.pop(key, None)
         if bracket is None:
             bracket = entropy(auto)

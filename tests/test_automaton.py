@@ -2,6 +2,7 @@ import itertools
 import random
 import re
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -366,11 +367,48 @@ def seeded_holes(rng):
     return holes
 
 
+def border_holes():
+    """(shape, hole) for common prefixes of up to 64 digits, periodic near
+    1/3 and 5/7, so their KMP border chains run the prefix's length, and
+    for the prefix lengths 0 and 1."""
+    holes = [("cstar0", Hole(F(1, 4), F(3, 4))), ("cstar1", Hole(F(1, 8), F(3, 8)))]
+    for k in range(2, 65):
+        eps = F(1, 2**k)
+        holes += [("border", Hole(F(1, 3), F(1, 3) + eps)),
+                  ("border", Hole(F(1, 3) - eps, F(1, 3))),
+                  ("border", Hole(F(1, 2) - eps, F(1, 2)))]
+        if k >= 4:
+            holes.append(("border", Hole(F(5, 7), F(5, 7) + 3 * eps)))
+    return holes
+
+
 def test_transitions_match_shift_and_reference():
     # fails if B reading 1 kills the 0-edge at 2 bmax >= qb (a B tail of 1/2
-    # reads 0), if the a_first tie is dropped, or if m0 and m1 trade places
-    holes = seeded_holes(random.Random(41))
+    # reads 0), if the a_first tie is dropped, if the two KMP step tables
+    # trade places, or if a mismatch falls back to 0 rather than to the border
+    holes = seeded_holes(random.Random(41)) + border_holes()
     assert len(holes) >= 2000
     for _, hole in holes:
         assert build_automaton(hole).transitions == reference_transitions(hole), hole
     assert all(common_prefix_len(hole) >= 10 for shape, hole in holes if shape == "prefix")
+    prefix = {shape: common_prefix_len(hole) for shape, hole in holes if shape.startswith("cstar")}
+    assert prefix == {"cstar0": 0, "cstar1": 1}
+    assert max(common_prefix_len(hole) for shape, hole in holes if shape == "border") >= 64
+
+
+@pytest.mark.parametrize("hole, bound_mb", [
+    (Hole(F(1067, 3203), F(1068, 3203)), 1.8),  # thin, a 3,214-state branching component
+    (Hole(F(1, 3), F(1, 3) + F(1, 2**5000)), 7.5),  # a 5,000-digit self-overlapping prefix
+], ids=["thin-3203", "prefix-5000"])
+def test_build_peak_memory(hole, bound_mb):
+    # states keyed by a tie mask as wide as the common prefix, with the state
+    # index kept alive through the SCC pass, peaked at 2.2 and 10.1 MB; the
+    # KMP border and a freed index peak at 1.4 and 5.2 MB (Python 3.11)
+    build_automaton(hole)  # fills the endpoints' period cache outside the trace
+    tracemalloc.start()
+    try:
+        build_automaton(hole)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mb * 2**20, peak

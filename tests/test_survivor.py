@@ -193,7 +193,12 @@ def test_perron_budget_failure_is_not_memoised(monkeypatch, entropy_calls):
 def test_bracket_memo_drops_least_recently_used(monkeypatch):
     monkeypatch.setattr(survivor, "BRACKET_CACHE_SIZE", 4)
     holes = _positive_entropy_holes(7, 6)
-    keys = [min(h, h.mirror()) for h in holes]
+
+    def ints(h):
+        return h.a.numerator, h.a.denominator, h.b.numerator, h.b.denominator
+
+    # the key is the smaller of the hole's endpoint integers and its mirror's
+    keys = [min(ints(h), ints(h.mirror())) for h in holes]
     for hole in holes[:4] + [holes[0]] + holes[4:]:
         classify(hole)
     # holes[0] was used again before holes[4] arrived, so holes[1] went first
