@@ -41,6 +41,8 @@ from fractions import Fraction
 
 from .rationals import BudgetExceededError, format_short, lex_max_expansion, lex_min_expansion
 
+MAX_STATES = 1_000_000  # most states one build_automaton() call makes
+
 
 class Hole(namedtuple("Hole", "a b")):
     """Open interval (a, b) within [0, 1] with rational endpoints.
@@ -208,17 +210,16 @@ def _border_steps(head: int, cstar: int) -> tuple[list[int], list[int]]:
     return step
 
 
-def build_automaton(hole: Hole, max_states: int = 1_000_000) -> SurvivorAutomaton:
+def build_automaton(hole: Hole) -> SurvivorAutomaton:
     """Automaton whose infinite paths are exactly the survivor codings of the hole.
 
     A path dies at the first symbol that decides some tail strictly between
     the two endpoint expansions; boundary-valued tails survive, matching the
-    openness of the hole.  More than ``max_states`` states raise
+    openness of the hole.  More than ``MAX_STATES`` states raise
     BudgetExceededError, before the build when the endpoints' common prefix
     alone is longer.
     """
-    if hole.a >= hole.b:
-        raise ValueError(f"empty hole {hole}")
+    max_states = MAX_STATES  # read once per call, a local in the loop
     # words unused; kept for their expansion budgets and perfbench's expand span
     lex_max_expansion(hole.a)
     lex_min_expansion(hole.b)
@@ -229,7 +230,7 @@ def build_automaton(hole: Hole, max_states: int = 1_000_000) -> SurvivorAutomato
     # A's first k symbols read floor(a 2^k) and B's read ceil(b 2^k) - 1, so
     # they share cstar = k - bitlen(x ^ y) of them.  Sharing c symbols needs
     # b - a <= 2^-c, which puts c below the window k; k is cut at
-    # max_states + 2, since a prefix of more than max_states symbols (each
+    # MAX_STATES + 2, since a prefix of more than MAX_STATES symbols (each
     # ending in a state of its own) is refused before the build.
     k = min((qa * qb).bit_length() - (cb * qa - ca * qb).bit_length() + 2, max_states + 2)
     x, y = (ca << k) // qa, ((cb << k) - 1) // qb

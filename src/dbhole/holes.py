@@ -195,8 +195,7 @@ def _endpoint_bracket(x) -> Bracket:
     return x, x
 
 
-def test_supercritical(left, right, epsilon: Fraction,
-                       max_states: int = 1_000_000) -> SupercriticalReport:
+def test_supercritical(left, right, epsilon: Fraction) -> SupercriticalReport:
     """Empirical supercriticality check at resolution epsilon.
 
     Endpoints may be exact rationals or (lo, hi) brackets; bracketed
@@ -217,15 +216,14 @@ def test_supercritical(left, right, epsilon: Fraction,
         )
     outer_a = max(Fraction(0), left_lo - epsilon)
     outer_b = min(Fraction(1), right_hi + epsilon)
-    outer = classify(Hole(outer_a, outer_b), max_states=max_states)
-    inner = classify(Hole(inner_a, inner_b), max_states=max_states)
+    outer = classify(Hole(outer_a, outer_b))
+    inner = classify(Hole(inner_a, inner_b))
     return SupercriticalReport(outer, inner, epsilon)
 
 
-def certify_entry(entry: CatalogEntry, epsilon: Fraction,
-                  max_states: int = 1_000_000) -> SupercriticalReport:
+def certify_entry(entry: CatalogEntry, epsilon: Fraction) -> SupercriticalReport:
     """Run test_supercritical on a catalog entry and record the verdict."""
-    report = test_supercritical(entry.left, entry.right, epsilon, max_states=max_states)
+    report = test_supercritical(entry.left, entry.right, epsilon)
     entry.certified = report.passed
     entry.epsilon = Fraction(epsilon)
     return report

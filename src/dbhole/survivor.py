@@ -70,6 +70,9 @@ ENTROPY_WIDTH = Fraction(1, 10**10)
 # Most entropy brackets classify() keeps, a few hundred bytes each; the least
 # recently used is dropped first.
 BRACKET_CACHE_SIZE = 4096
+# is_trap() budgets: longest escape-witness cycle, most gaps tracked beyond one
+TRAP_WITNESS_MAX_LEN = 12
+MAX_TRAP_INTERVALS = 20_000
 _brackets: dict[tuple[int, int, int, int], tuple[float, float]] = {}
 
 
@@ -139,7 +142,7 @@ def entropy(auto: SurvivorAutomaton) -> tuple[float, float]:
     return (h_lo, h_hi)
 
 
-def classify(hole: Hole, max_states: int = 1_000_000) -> Classification:
+def classify(hole: Hole) -> Classification:
     """Exact classification of the survivor set of an open hole.
 
     A PositiveEntropy bracket is memoised under the smaller of the
@@ -147,7 +150,7 @@ def classify(hole: Hole, max_states: int = 1_000_000) -> Classification:
     mirror pay for one entropy() call; the kind, cycles and zero_loop always
     come from the hole's own automaton.
     """
-    auto = build_automaton(hole, max_states=max_states)
+    auto = build_automaton(hole)
     # the 0-loop state may sit inside a branching component (points can jump
     # across a hole with 2a >= b), so look for the self-loop itself
     zero_loop = any(live and auto.transitions[s][0] == s
@@ -282,8 +285,7 @@ def _certify_trapped(gaps: list[tuple[Fraction, Fraction]]) -> bool:
     return True
 
 
-def is_trap(c: Fraction, d: Fraction, depth: int = 24, tol=Fraction(1, 10**6),
-            witness_max_len: int = 12, max_intervals: int = 20_000) -> TrapReport:
+def is_trap(c: Fraction, d: Fraction, depth: int = 24, tol=Fraction(1, 10**6)) -> TrapReport:
     """Is [c, d] a trap, i.e. do its backward images cover all of (0, 1)?
 
     Tracks the gaps (points whose orbit has not met [c, d]) for ``depth``
@@ -291,19 +293,19 @@ def is_trap(c: Fraction, d: Fraction, depth: int = 24, tol=Fraction(1, 10**6),
     cut at c and d, which stay sorted.  trapped=True requires both their
     measure, the residual, to drop below ``tol`` and the expanding-gap
     certificate to hold, so it is a proof.  trapped=False comes with a witness:
-    a cycle (or the coding 1(0) of 1/2) that avoids the closed interval.
-    Anything else is None, as is a run past ``max_intervals + 1`` gaps.
+    a cycle of at most ``TRAP_WITNESS_MAX_LEN`` symbols (or the coding 1(0)
+    of 1/2) that avoids the closed interval.  Anything else is None, as is a
+    run past ``MAX_TRAP_INTERVALS + 1`` gaps.
     """
     c, d = Fraction(c), Fraction(d)
     if not 0 < c < d < 1:
         raise ValueError(f"need 0 < c < d < 1, got [{c}, {d}]")
     tol = Fraction(tol)
-    if min(depth, witness_max_len, max_intervals) < 0 or tol <= 0:
-        raise ValueError(f"need depth, witness_max_len, max_intervals >= 0 and tol > 0, "
-                         f"got {depth}, {witness_max_len}, {max_intervals} and {tol}")
+    if depth < 0 or tol <= 0:
+        raise ValueError(f"need depth >= 0 and tol > 0, got {depth} and {tol}")
 
     residual = Fraction(1) - (d - c)
-    avoiding = _cycles_avoiding(lambda x: c <= x <= d, witness_max_len)
+    avoiding = _cycles_avoiding(lambda x: c <= x <= d, TRAP_WITNESS_MAX_LEN)
     half_escapes = not c <= Fraction(1, 2) <= d  # the orbit 1/2, 0, 0, ... misses [c, d]
     witness = next((w for w in avoiding if w != "0"), "1(0)" if half_escapes else None)
     if witness is not None:
@@ -315,7 +317,7 @@ def is_trap(c: Fraction, d: Fraction, depth: int = 24, tol=Fraction(1, 10**6),
         pre += [((lo + 1) / 2, (hi + 1) / 2) for lo, hi in gaps]
         gaps = ([(lo, min(hi, c)) for lo, hi in pre if lo < c]
                 + [(max(lo, d), hi) for lo, hi in pre if hi > d])
-        if len(gaps) > max_intervals + 1:
+        if len(gaps) > MAX_TRAP_INTERVALS + 1:
             break
         residual = sum((hi - lo for lo, hi in gaps), Fraction(0))
         if residual < tol and _certify_trapped(gaps):
@@ -323,8 +325,7 @@ def is_trap(c: Fraction, d: Fraction, depth: int = 24, tol=Fraction(1, 10**6),
     return TrapReport(None, residual, None)
 
 
-def locate_entropy_transition(precision_bits: int,
-                              max_states: int = 1_000_000) -> tuple[Fraction, Fraction]:
+def locate_entropy_transition(precision_bits: int) -> tuple[Fraction, Fraction]:
     """Dyadic bracket of width 2^-precision_bits around the symmetric-hole
     parameter where the survivor set first gains positive entropy.
 
@@ -336,7 +337,7 @@ def locate_entropy_transition(precision_bits: int,
     lo, hi = Fraction(3, 8), Fraction(7, 16)
 
     def positive(a: Fraction) -> bool:
-        cls = classify(Hole(a, 1 - a), max_states=max_states)
+        cls = classify(Hole(a, 1 - a))
         return cls.kind is Kind.POSITIVE_ENTROPY
 
     if positive(lo) or not positive(hi):

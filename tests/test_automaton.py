@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from dbhole import automaton
 from dbhole.automaton import Hole, SurvivorAutomaton, build_automaton
 from dbhole.survivor import classify
 from dbhole.rationals import BudgetExceededError, lex_max_expansion, lex_min_expansion, pi_value
@@ -226,30 +227,32 @@ def test_endpoint_expansion_budget(hole):
     pytest.param(lambda k: Hole(F(1, 2), F(1, 2) + F(1, 2**k)), id="dyadic-both"),
     pytest.param(lambda k: Hole(F(1, 3), F(1, 3) + F(1, 2**k)), id="third"),
 ])
-def test_common_prefix_past_budget_is_refused_before_the_build(make):
+def test_common_prefix_past_budget_is_refused_before_the_build(make, monkeypatch):
     # the endpoints share about k symbols: a hole is refused up front exactly
-    # when they share more than max_states
+    # when they share more than MAX_STATES
+    monkeypatch.setattr(automaton, "MAX_STATES", 1000)
     for k in range(995, 1006):
         hole = make(k)
         try:
-            build_automaton(hole, max_states=1000)
+            build_automaton(hole)
             refused = False
         except BudgetExceededError as exc:
             refused = "share more than 1000 leading" in str(exc)
         assert refused == (common_prefix_len(hole) > 1000), k
     with pytest.raises(BudgetExceededError, match="share more than 1000 leading"):
-        build_automaton(make(40_000), max_states=1000)
+        build_automaton(make(40_000))
 
 
 @pytest.mark.parametrize("hole", [
     pytest.param(Hole(F(1, 3), F(1, 3) + F(1, 2**15000)), id="prefix-budget"),
     pytest.param(Hole(F(1, 3), F(1, 2) + F(1, 2**15000)), id="state-budget"),
 ])
-def test_budget_message_names_huge_endpoints_by_size(hole):
+def test_budget_message_names_huge_endpoints_by_size(hole, monkeypatch):
     # a 15,000-bit denominator has over 4,300 digits, which Python refuses
     # to write in decimal
+    monkeypatch.setattr(automaton, "MAX_STATES", 100)
     with pytest.raises(BudgetExceededError, match="-bit integer>"):
-        classify(hole, max_states=100)
+        classify(hole)
 
 
 def test_state_count_polynomial_in_expansion_lengths():
@@ -321,12 +324,15 @@ def test_count_paths_rejects_negative_length():
     pytest.param(Hole(F(21, 50), F(29, 50)), id="branching"),
     pytest.param(Hole(F(341, 1019), F(342, 1019)), id="thin-1019"),
 ])
-def test_state_budget_boundary(hole):
-    n = build_automaton(hole).n_states
-    assert build_automaton(hole, max_states=n) == build_automaton(hole)
+def test_state_budget_boundary(hole, monkeypatch):
+    full = build_automaton(hole)
+    n = full.n_states
+    monkeypatch.setattr(automaton, "MAX_STATES", n)
+    assert build_automaton(hole) == full
+    monkeypatch.setattr(automaton, "MAX_STATES", n - 1)
     message = re.escape(f"automaton for {hole} exceeds {n - 1} states")
     with pytest.raises(BudgetExceededError, match=message):
-        build_automaton(hole, max_states=n - 1)
+        build_automaton(hole)
 
 
 def dyadic_or_small(rng):

@@ -171,6 +171,29 @@ def test_perron_budget_exits_3_with_partial_bracket(capsys, monkeypatch):
     assert sorted(partial) == ["partial_hi", "partial_lo"]
     assert 1 < F(partial["partial_lo"]) <= F(partial["partial_hi"])
 
+
+def test_state_budget_reaches_every_entry_point(capsys, monkeypatch):
+    # the budget is read at call time, so patching the module constant
+    # reaches every caller; the middle third needs 5 states
+    from dbhole import automaton
+    from dbhole.automaton import Hole
+    from dbhole.holes import catalog, certify_entry
+    from dbhole.rationals import BudgetExceededError
+    from dbhole.survivor import classify, locate_entropy_transition
+
+    monkeypatch.setattr(automaton, "MAX_STATES", 4)
+    with pytest.raises(BudgetExceededError, match="exceeds 4 states"):
+        classify(Hole(F(1, 3), F(2, 3)))
+    with pytest.raises(BudgetExceededError, match="exceeds 4 states"):
+        certify_entry(catalog(3)[0], F(1, 1024))
+    with pytest.raises(BudgetExceededError):
+        locate_entropy_transition(4)
+    for argv in (["classify", "1/3", "2/3"], ["catalog", "--max-q", "3", "--certify"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert "exceeds 4 states" in err, argv
+
+
 def test_catalog_with_sturmian_bracket(capsys):
     _, out, _ = run(capsys, "catalog", "--max-q", "3", "--sturmian", "1,1,1,1,1,1")
     data = json.loads(out)

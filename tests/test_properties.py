@@ -8,6 +8,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
+from dbhole import automaton  # noqa: E402
 from dbhole.automaton import Hole, build_automaton  # noqa: E402
 from dbhole.rationals import BudgetExceededError  # noqa: E402
 from dbhole.survivor import (  # noqa: E402
@@ -73,11 +74,15 @@ def prefix_holes(draw):
 def test_states_outnumber_common_prefix(hole):
     # the start state and the state after each prefix of the common prefix
     # are distinct, so the budget may refuse a longer prefix before the build
+    # (hypothesis refuses function-scoped fixtures, so no monkeypatch argument)
     auto = build_automaton(hole)
     assert auto.n_states > common_prefix_len(hole)
-    assert build_automaton(hole, max_states=auto.n_states).transitions == auto.transitions
-    with pytest.raises(BudgetExceededError):
-        build_automaton(hole, max_states=auto.n_states - 1)
+    with pytest.MonkeyPatch.context() as budget:
+        budget.setattr(automaton, "MAX_STATES", auto.n_states)
+        assert build_automaton(hole).transitions == auto.transitions
+        budget.setattr(automaton, "MAX_STATES", auto.n_states - 1)
+        with pytest.raises(BudgetExceededError):
+            build_automaton(hole)
 
 
 @hypothesis.given(st.one_of(holes(), central_holes()))

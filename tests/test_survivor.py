@@ -473,18 +473,21 @@ def test_is_trap_narrow_interval_has_cycle_witness():
     assert report.escape_witness is not None
 
 
-def test_trap_certificate_refuses_a_surviving_gap_cycle():
+def test_trap_certificate_refuses_a_surviving_gap_cycle(monkeypatch):
     # the cycle 01 (1/3, 2/3) avoids [7/20, 9/14]; with no witness search the
     # residual drops below tol, and only the fixed point of the gap cycle's
     # return map, a point of that cycle, keeps the certificate from passing
-    for depth in (4, 12):
-        report = is_trap(F(7, 20), F(9, 14), depth=depth, tol=F(1, 10), witness_max_len=0)
-        assert report.trapped is None and report.residual_measure < F(1, 10)
+    with monkeypatch.context() as budget:
+        budget.setattr(survivor, "TRAP_WITNESS_MAX_LEN", 0)
+        for depth in (4, 12):
+            report = is_trap(F(7, 20), F(9, 14), depth=depth, tol=F(1, 10))
+            assert report.trapped is None and report.residual_measure < F(1, 10)
     assert is_trap(F(7, 20), F(9, 14)).escape_witness == "01"
 
 
-def test_is_trap_interval_missing_one_half():
-    report = is_trap(F(1, 10), F(2, 10), witness_max_len=1)
+def test_is_trap_interval_missing_one_half(monkeypatch):
+    monkeypatch.setattr(survivor, "TRAP_WITNESS_MAX_LEN", 1)
+    report = is_trap(F(1, 10), F(2, 10))
     assert report.trapped is False
     assert report.escape_witness == "1(0)"
 
@@ -496,25 +499,26 @@ def test_is_trap_rejects_degenerate_interval():
         is_trap(F(0), F(1, 2))
 
 
-def test_is_trap_rejects_negative_depth_and_nonpositive_tol():
+def test_is_trap_rejects_negative_depth_and_nonpositive_tol(monkeypatch):
     with pytest.raises(ValueError):
         is_trap(F(1, 3), F(2, 3), depth=-1)
     for tol in (0, -1):
         with pytest.raises(ValueError):
             is_trap(F(1, 3), F(2, 3), tol=tol)
-    for kwargs in ({"witness_max_len": -1}, {"max_intervals": -1}):
-        with pytest.raises(ValueError, match="-1"):
-            is_trap(F(1, 3), F(2, 3), **kwargs)
     # zero is allowed: no witness search, or a stop after the first round
     assert is_trap(F(9, 20), F(11, 20), depth=0).escape_witness is not None
-    assert is_trap(F(9, 20), F(11, 20), witness_max_len=0, depth=0) == TrapReport(None, F(9, 10), None)
-    assert is_trap(F(1, 3), F(2, 3), max_intervals=0).trapped is None
+    with monkeypatch.context() as budget:
+        budget.setattr(survivor, "TRAP_WITNESS_MAX_LEN", 0)
+        assert is_trap(F(9, 20), F(11, 20), depth=0) == TrapReport(None, F(9, 10), None)
+    with monkeypatch.context() as budget:
+        budget.setattr(survivor, "MAX_TRAP_INTERVALS", 0)
+        assert is_trap(F(1, 3), F(2, 3)).trapped is None
     # depth 0 runs the witness search alone
     assert is_trap(F(1, 3), F(2, 3), depth=0) == TrapReport(None, F(2, 3), None)
     assert is_trap(F(2, 5), F(9, 20), depth=0).escape_witness == "01"
 
 
-def test_is_trap_matches_union_reference():
+def test_is_trap_matches_union_reference(monkeypatch):
     rng = random.Random(31)
     verdicts = {True: 0, False: 0, None: 0}
     cutoffs = []
@@ -538,10 +542,12 @@ def test_is_trap_matches_union_reference():
             d = 2 * c
         if not 0 < c < d < 1:
             continue
-        kwargs = dict(depth=rng.randrange(0, 13), tol=F(1, rng.choice((10, 100, 1000, 10**4))),
-                      witness_max_len=rng.randrange(0, 7), max_intervals=rng.randrange(1, 60))
-        want = reference_is_trap(c, d, cutoffs=cutoffs, **kwargs)
-        assert is_trap(c, d, **kwargs) == want, (c, d, kwargs)
+        kwargs = dict(depth=rng.randrange(0, 13), tol=F(1, rng.choice((10, 100, 1000, 10**4))))
+        budgets = dict(witness_max_len=rng.randrange(0, 7), max_intervals=rng.randrange(1, 60))
+        want = reference_is_trap(c, d, cutoffs=cutoffs, **kwargs, **budgets)
+        monkeypatch.setattr(survivor, "TRAP_WITNESS_MAX_LEN", budgets["witness_max_len"])
+        monkeypatch.setattr(survivor, "MAX_TRAP_INTERVALS", budgets["max_intervals"])
+        assert is_trap(c, d, **kwargs) == want, (c, d, kwargs, budgets)
         verdicts[want.trapped] += 1
     assert min(verdicts.values()) >= 20, verdicts
     assert len(cutoffs) >= 20
@@ -555,7 +561,9 @@ def test_is_trap_long_period_endpoint_is_certified():
     assert time.perf_counter() - start < 1
 
 
-def test_is_trap_agrees_with_automaton_criterion():
+def test_is_trap_agrees_with_automaton_criterion(monkeypatch):
+    monkeypatch.setattr(survivor, "MAX_TRAP_INTERVALS", 2000)
+    monkeypatch.setattr(survivor, "TRAP_WITNESS_MAX_LEN", 8)
     rng = random.Random(32)
     decided = {True: 0, False: 0}
     for _ in range(400):
@@ -567,7 +575,7 @@ def test_is_trap_agrees_with_automaton_criterion():
             c, d = F(rng.randrange(1, qc), qc), F(rng.randrange(1, qd), qd)
         if not c < d:
             continue
-        report = is_trap(c, d, depth=16, tol=F(1, 100), max_intervals=2000, witness_max_len=8)
+        report = is_trap(c, d, depth=16, tol=F(1, 100))
         if report.trapped is not None:
             assert report.trapped == trap_by_automaton(c, d), (c, d)
             decided[report.trapped] += 1
