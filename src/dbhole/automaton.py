@@ -25,7 +25,10 @@ kept, which bounds the state count by a polynomial in the expansion lengths.
 Each state reads 0 and 1 once: a B tie whose tail reads 1 kills the 0-edge
 (the tail falls strictly inside the hole), an A tie whose tail reads 0 kills
 the 1-edge, and otherwise both ties move on by doubling.  So the build does
-constant work per state and edge, whatever the period.
+constant work per state and edge, whatever the period.  It reads no symbol
+of an endpoint expansion: it only checks the expansion budgets of
+``dbhole.rationals``, which depend on nothing but the denominator, once for
+each distinct denominator of the two endpoints.
 
 Liveness comes from the SCC condensation (Lind & Marcus, ch. 4): one Tarjan
 pass over the transitions yields the components with an internal edge, and
@@ -217,14 +220,18 @@ def build_automaton(hole: Hole) -> SurvivorAutomaton:
     the two endpoint expansions; boundary-valued tails survive, matching the
     openness of the hole.  More than ``MAX_STATES`` states raise
     BudgetExceededError, before the build when the endpoints' common prefix
-    alone is longer.
+    alone is longer.  So do the expansion budgets of ``dbhole.rationals``,
+    checked once per distinct endpoint denominator, a's first.
     """
     max_states = MAX_STATES  # read once per call, a local in the loop
-    # words unused; kept for their expansion budgets and perfbench's expand span
-    lex_max_expansion(hole.a)
-    lex_min_expansion(hole.b)
     # a tail of A (resp. B) is named by its numerator over qa (resp. qb)
     qa, qb = hole.a.denominator, hole.b.denominator
+    # words unused; kept for their expansion budgets and perfbench's expand
+    # span.  The budgets read only the denominator, so b is expanded only
+    # when its denominator differs from a's
+    lex_max_expansion(hole.a)
+    if qb != qa:
+        lex_min_expansion(hole.b)
     ca, cb = hole.a.numerator, hole.b.numerator
 
     # A's first k symbols read floor(a 2^k) and B's read ceil(b 2^k) - 1, so

@@ -4,8 +4,9 @@ Conversion between rationals in [0, 1] and eventually periodic binary
 expansions.  Everything here is integer/Fraction arithmetic; no floats.
 
 The period of an expansion is the order of 2 modulo the odd part of the
-denominator.  The last ``ORDER_CACHE_SIZE`` orders are memoised, so the two
-endpoints of a hole with a shared odd part pay for one factorisation.
+denominator.  The last ``ORDER_CACHE_SIZE`` orders are memoised, so holes
+built again and again over the same denominators (a catalog, its
+certification, a benchmark pass) pay for one factorisation of each.
 """
 
 from __future__ import annotations

@@ -22,6 +22,7 @@ gap_interval (alpha's cycle)   orbit                        test_alpha_expansion
 *test_survivor.py*
 _graph_sccs (is_cycle, order)  reachability sets (inline)   test_graph_sccs_match_mutual_reachability
 survivor._perron_bracket       dense_perron_bracket         test_perron_bracket_matches_dense_reference
+survivor._perron_bracket       rome_bracket                 test_perron_bracket_overlaps_rome_certificate
 entropy (holes around 1/2)     kneading_entropy             test_entropy_matches_kneading_invariant
 survivor._zero_max_rotation    reference_zero_max_rotation  test_zero_max_rotation_matches_reference
 survivor._cycles_avoiding      primitive_necklaces          test_cycle_scan_matches_necklace_filter,
@@ -44,6 +45,9 @@ survivor.cylinder_counts       recorder (monkeypatched)     test_survivor_dispat
 ``kneading_entropy`` reads two greedy paths off the automaton's transitions
 and live flags and finds no eigenvector, so it is independent of the Perron
 step but not of the build.
+``rome_bracket`` shares only the graph with power iteration: it certifies
+the Perron root from the first-return paths between a few nodes that meet
+every cycle.
 ``reference_is_trap`` finds its escape witnesses with the brute-force
 necklace filter, not with the Lyndon-word scan it checks, and certifies
 with ``reference_certify_trapped``, the general certificate that also
@@ -188,6 +192,98 @@ def dense_perron_bracket(rows, rel_tol, max_iter=200_000):
             shift = top.bit_length() - 150
             x = [max(1, v >> shift) for v in x]
     raise AssertionError("reference bracket did not converge")
+
+
+def rome_bracket(succ, delta=F(1, 2**36)):
+    """Reference: a certified bracket (lo, hi) for the Perron root rho of a
+    strongly connected digraph that is not a simple cycle, by the rome method
+    (Block, Guckenheimer, Misiurewicz & Young 1980; Alsedà, Llibre &
+    Misiurewicz 2000), with no eigenvector of the n-node matrix.
+
+    ``succ`` is as for ``survivor._perron_bracket``.  The nodes R of
+    in-degree >= 2 (a parallel edge counts twice) meet every cycle: one that
+    avoided them would be entered from no other node, so it would be the whole
+    graph.  Every other node has one predecessor, so one walk from each node
+    of R, stopped at nodes of R, meets each first-return path once; they give
+    the r x r matrix A(t) with A_ij(t) the sum of t^length over the paths from
+    i to j.  The powers of A(t) sum the closed walks through R, each weighted
+    t^length, so rho(A(t)) < 1 exactly when t < t* = 1/rho.
+
+    A float bisection on the pivot test of I - A(t) (elimination without
+    pivoting keeps every pivot positive iff rho(A(t)) < 1) brackets t* in
+    [lo, hi]; it starts below 1/2, since the full shift has t* = 1/2.  The
+    test vector is x = (I - A(lo))^-1 1, solved at lo itself, and rounded to
+    integers.  Collatz-Wielandt then proves t_lo < t* < t_hi for dyadic
+    t_lo <= lo (1 - delta) and t_hi >= hi (1 + delta): A(t_lo) x < x and
+    A(t_hi) x > x, checked exactly with the powers of t rounded up and down
+    respectively.  So rho lies in (1/t_hi, 1/t_lo); a failed check raises
+    AssertionError, and no unchecked bracket is returned.
+    """
+    indeg = [0] * len(succ)
+    for targets in succ:
+        for j in targets:
+            indeg[j] += 1
+    rome = {v: i for i, v in enumerate(v for v, d in enumerate(indeg) if d >= 2)}
+    if not rome:
+        raise ValueError("a simple cycle has no rome")
+    r = len(rome)
+    paths = []  # (i, j, length) for each first-return path from rome node i to j
+    for v, i in rome.items():
+        stack = [(u, 1) for u in succ[v]]
+        while stack:
+            u, length = stack.pop()
+            if u in rome:
+                paths.append((i, rome[u], length))
+            else:
+                stack.extend((w, length + 1) for w in succ[u])
+
+    def factor(t):
+        """LU factors of I - A(t) in one matrix, or None at a pivot <= 0."""
+        m = [[float(i == j) for j in range(r)] for i in range(r)]
+        for i, j, length in paths:
+            m[i][j] -= t ** length
+        for k in range(r):
+            if not m[k][k] > 0:
+                return None
+            for i in range(k + 1, r):
+                f = m[i][k] = m[i][k] / m[k][k]
+                for j in range(k + 1, r):
+                    m[i][j] -= f * m[k][j]
+        return m
+
+    lo, hi = 0.5 / max(map(len, succ)), 1.0
+    assert factor(lo) is not None and factor(hi) is None, "rho outside (1, 2 max out-degree)"
+    while lo < (mid := (lo + hi) / 2) < hi:
+        if factor(mid) is None:
+            hi = mid
+        else:
+            lo = mid
+    lu = factor(lo)
+    x = [1.0] * r
+    for i in range(r):
+        x[i] -= sum(lu[i][j] * x[j] for j in range(i))
+    for i in reversed(range(r)):
+        x[i] = (x[i] - sum(lu[i][j] * x[j] for j in range(i + 1, r))) / lu[i][i]
+    assert all(0 < v < math.inf for v in x), "test vector not positive"
+    # x >= 1, so 52 fraction bits keep it to float precision; the powers of t
+    # are rounded to 2^-bits, far below delta relative to the smallest x
+    x = [int(v * 2**52) for v in x]
+    maxlen = max(length for _, _, length in paths)
+    bits = (64 + (len(paths) * maxlen).bit_length() + max(x).bit_length()
+            + delta.denominator.bit_length())
+    t_lo = math.floor(F(lo) * (1 - delta) * 2**bits)
+    t_hi = math.ceil(F(hi) * (1 + delta) * 2**bits)
+    up, down = [1 << bits], [1 << bits]
+    for _ in range(maxlen):
+        up.append(-(-up[-1] * t_lo >> bits))
+        down.append(down[-1] * t_hi >> bits)
+    below, above = [0] * r, [0] * r
+    for i, j, length in paths:
+        below[i] += up[length] * x[j]
+        above[i] += down[length] * x[j]
+    assert all(s < v << bits for s, v in zip(below, x)), "A(t_lo) x < x fails"
+    assert all(s > v << bits for s, v in zip(above, x)), "A(t_hi) x > x fails"
+    return F(1 << bits, t_hi), F(1 << bits, t_lo)
 
 
 def _greedy_live_word(auto, first, prefer):

@@ -222,6 +222,23 @@ def test_endpoint_expansion_budget(hole):
     assert time.perf_counter() - start < 2
 
 
+@pytest.mark.parametrize("hole, calls", [
+    *[pytest.param(Hole(F(k, q), F(q - k, q)), 1, id=f"{k}/{q}-symmetric")
+      for k, q in [(1, 3), (3, 10), (2, 7), (1067, 3203), (1999, 4001)]],
+    pytest.param(Hole(F(1, 3), F(7, 12)), 2, id="denominators-3-and-12"),
+    pytest.param(Hole(F(1, 3), F(2, 5)), 2, id="denominators-3-and-5"),
+])
+def test_build_expands_each_denominator_once(hole, calls, monkeypatch):
+    expanded = []
+    for name in ("lex_max_expansion", "lex_min_expansion"):
+        def counted(x, name=name, real=getattr(automaton, name)):
+            expanded.append((name, x))
+            return real(x)
+        monkeypatch.setattr(automaton, name, counted)
+    build_automaton(hole)
+    assert expanded == [("lex_max_expansion", hole.a), ("lex_min_expansion", hole.b)][:calls]
+
+
 @pytest.mark.parametrize("make", [
     pytest.param(lambda k: Hole(0, F(1, 2**k)), id="zero-to-dyadic"),
     pytest.param(lambda k: Hole(F(1, 2), F(1, 2) + F(1, 2**k)), id="dyadic-both"),

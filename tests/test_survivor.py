@@ -7,7 +7,7 @@ import pytest
 
 from dbhole import automaton, survivor
 from dbhole.automaton import Hole, SurvivorAutomaton, build_automaton
-from dbhole.holes import catalog
+from dbhole.holes import _endpoint_bracket, catalog
 from dbhole.rationals import BudgetExceededError
 from dbhole.survivor import (
     Kind,
@@ -33,6 +33,7 @@ from oracles import (
     primitive_necklaces,
     reference_is_trap,
     reference_zero_max_rotation,
+    rome_bracket,
     trap_by_automaton,
     transfer_matrix_count,
 )
@@ -205,6 +206,15 @@ def test_bracket_memo_drops_least_recently_used(monkeypatch):
     assert list(survivor._brackets) == [keys[3], keys[0], keys[4], keys[5]]
 
 
+def _branching_graphs(auto):
+    """Successor lists of the automaton's branching components, each
+    renumbered from 0."""
+    for states, is_cycle in auto.components:
+        if not is_cycle:
+            idx = {s: i for i, s in enumerate(states)}
+            yield [[idx[t] for t in auto.transitions[s] if t in idx] for s in states]
+
+
 def test_perron_bracket_matches_dense_reference():
     rel = survivor.ENTROPY_WIDTH / 4
     rng = random.Random(11)
@@ -214,10 +224,7 @@ def test_perron_bracket_matches_dense_reference():
         a, b = F(rng.randrange(1, qa), qa), F(rng.randrange(1, qb), qb)
         if not a < b:
             continue
-        auto = build_automaton(Hole(a, b))
-        for comp in [states for states, is_cycle in auto.components if not is_cycle]:
-            idx = {s: i for i, s in enumerate(comp)}
-            graphs.append([[idx[t] for t in auto.transitions[s] if t in idx] for s in comp])
+        graphs += _branching_graphs(build_automaton(Hole(a, b)))
     # built automata never carry parallel edges (the 0- and 1-successors of
     # a state differ), so the repeated successor entries are written by hand
     parallel = [
@@ -232,6 +239,32 @@ def test_perron_bracket_matches_dense_reference():
     for succ in graphs:
         assert _perron_bracket(succ, rel) == dense_perron_bracket(dense_rows(succ), rel), succ
 
+
+def test_perron_bracket_overlaps_rome_certificate():
+    # the rome certificate shares nothing with power iteration but the graph;
+    # one hole of each catalog mirror pair (the mirror builds the same graph,
+    # relabelled), thin holes with components of 500 to 1,000 states, the
+    # sigma_n chains and random holes
+    eps = F(1, 2**10)
+    holes = {Hole(F(170, 509), F(171, 509)), Hole(F(341, 1019), F(342, 1019))}
+    for e in catalog(12):
+        hole = Hole(_endpoint_bracket(e.left)[1] + eps, _endpoint_bracket(e.right)[0] - eps)
+        holes.add(min(hole, hole.mirror()))
+    rng = random.Random(13)
+    while len(holes) < 150:
+        qa, qb = rng.randrange(2, 400), rng.randrange(2, 400)
+        a, b = F(rng.randrange(1, qa), qa), F(rng.randrange(1, qb), qb)
+        if a < b:
+            holes.add(Hole(a, b))
+    autos = [build_automaton(hole) for hole in sorted(holes)]
+    autos += [survivor._sigma_n_chain(n) for n in range(1, 9)]
+    graphs = [succ for auto in autos for succ in _branching_graphs(auto)]
+    assert len(graphs) > 100 and max(map(len, graphs)) > 1000
+    for succ in graphs:
+        lo, hi = rome_bracket(succ)
+        assert hi - lo <= survivor.ENTROPY_WIDTH, succ
+        perron_lo, perron_hi = _perron_bracket(succ, survivor.ENTROPY_WIDTH / 4)
+        assert max(lo, perron_lo) <= min(hi, perron_hi), succ
 
 
 def test_perron_work_budget_raises_with_best_bracket(monkeypatch):
