@@ -56,8 +56,11 @@ class Hole(namedtuple("Hole", "a b")):
     __slots__ = ()
 
     def __new__(cls, a, b):
-        a, b = Fraction(a), Fraction(b)
-        if not (0 <= a < b <= 1):
+        # built per query: skip Fraction() of a Fraction, compare integer pairs
+        a = a if type(a) is Fraction else Fraction(a)
+        b = b if type(b) is Fraction else Fraction(b)
+        (pa, qa), (pb, qb) = a.as_integer_ratio(), b.as_integer_ratio()
+        if not (0 <= pa and pa * qb < pb * qa and pb <= qb):
             raise ValueError(f"need 0 <= a < b <= 1, got ({format_short(a)}, {format_short(b)})")
         return super().__new__(cls, a, b)
 

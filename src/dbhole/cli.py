@@ -237,13 +237,10 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if exc.partial is not None:
-            try:
-                lo, hi = exc.partial
-                print(json.dumps({"partial_lo": format_fraction(lo),
-                                  "partial_hi": format_fraction(hi)},
-                                 sort_keys=True))
-            except (TypeError, ValueError):
-                pass
+            lo, hi = exc.partial
+            print(json.dumps({"partial_lo": format_fraction(lo),
+                              "partial_hi": format_fraction(hi)},
+                             sort_keys=True))
         return 3
     except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

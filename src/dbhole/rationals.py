@@ -5,8 +5,8 @@ expansions.  Everything here is integer/Fraction arithmetic; no floats.
 
 The period of an expansion is the order of 2 modulo the odd part of the
 denominator.  The last ``ORDER_CACHE_SIZE`` orders are memoised, so holes
-built again and again over the same denominators (a catalog, its
-certification, a benchmark pass) pay for one factorisation of each.
+built again over the same denominators (a catalog and its certification, a
+bisection) pay for one factorisation of each.
 """
 
 from __future__ import annotations
@@ -32,13 +32,16 @@ class BudgetExceededError(RuntimeError):
 
 
 def parse_fraction(text: str) -> Fraction:
-    """Parse "p/q" (or a plain integer) into a Fraction.
+    """Parse "p/q", an integer or a decimal, not "1e-N", into a Fraction.
 
-    The error for a malformed argument echoes at most its first 40
-    characters, and names the cause when a number in it has more digits than
-    Python converts from a string (``sys.get_int_max_str_digits``).
+    Fraction("1e-N") builds 10^N exactly, minutes at N = 10^8.  The error
+    echoes at most the first 40 characters, and names the cause when a number
+    has more digits than Python converts from a string
+    (``sys.get_int_max_str_digits``).
     """
     try:
+        if "e" in text or "E" in text:
+            raise ValueError("exponent notation")
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         shown = repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
@@ -118,8 +121,6 @@ def _multiplicative_order_of_two(v: int) -> int:
     """
     if v.bit_length() > MAX_ODD_BITS:
         raise BudgetExceededError(f"odd part has {v.bit_length()} bits, above {MAX_ODD_BITS}")
-    if v == 1:
-        return 1
     if pow(2, v - 1, v) == 1:
         # the order divides v - 1, whether v is prime or a pseudoprime
         order = v - 1

@@ -67,13 +67,13 @@ PERRON_WORK_BUDGET = 50_000_000
 # bracketed to a quarter of it, relatively, so the log bracket of a root
 # rho >= 1 of M is at most half of it plus the float pad.
 ENTROPY_WIDTH = Fraction(1, 10**10)
-# Most entropy brackets classify() keeps, a few hundred bytes each; the least
-# recently used is dropped first.
+# Most entropy brackets classify() keeps, a few hundred bytes each; once full,
+# it stores no more.
 BRACKET_CACHE_SIZE = 4096
 # is_trap() budgets: longest escape-witness cycle, most gaps tracked beyond one
 TRAP_WITNESS_MAX_LEN = 12
 MAX_TRAP_INTERVALS = 20_000
-_brackets: dict[tuple[int, int, int, int], tuple[float, float]] = {}
+_brackets: dict[Hole, tuple[float, float]] = {}
 
 
 def _perron_bracket(succ: list[list[int]], rel_tol: Fraction) -> tuple[Fraction, Fraction]:
@@ -145,10 +145,9 @@ def entropy(auto: SurvivorAutomaton) -> tuple[float, float]:
 def classify(hole: Hole) -> Classification:
     """Exact classification of the survivor set of an open hole.
 
-    A PositiveEntropy bracket is memoised under the smaller of the
-    endpoints' integers (pa, qa, pb, qb) and the mirror's, so a hole and its
-    mirror pay for one entropy() call; the kind, cycles and zero_loop always
-    come from the hole's own automaton.
+    A PositiveEntropy bracket is memoised under the smaller of the hole and
+    its mirror, so a hole and its mirror pay for one entropy() call; the
+    kind, cycles and zero_loop always come from the hole's own automaton.
     """
     auto = build_automaton(hole)
     # the 0-loop state may sit inside a branching component (points can jump
@@ -158,16 +157,13 @@ def classify(hole: Hole) -> Classification:
     if not all(is_cycle for _, is_cycle in auto.components):
         # The mirror (1 - b, 1 - a) builds this automaton with 0 and 1
         # swapped, and _perron_bracket commutes with relabelling the states,
-        # so the two holes share one bracket, bit for bit.  Both are in
-        # lowest terms, so (1 - b, 1 - a) reads (qb - pb, qb, qa - pa, qa).
-        (pa, qa), (pb, qb) = hole.a.as_integer_ratio(), hole.b.as_integer_ratio()
-        key = min((pa, qa, pb, qb), (qb - pb, qb, qa - pa, qa))
-        bracket = _brackets.pop(key, None)
+        # so the two holes share one bracket, bit for bit.
+        key = min(hole, hole.mirror())
+        bracket = _brackets.get(key)
         if bracket is None:
             bracket = entropy(auto)
-            if len(_brackets) >= BRACKET_CACHE_SIZE:
-                del _brackets[next(iter(_brackets))]
-        _brackets[key] = bracket
+            if len(_brackets) < BRACKET_CACHE_SIZE:
+                _brackets[key] = bracket
         return Classification(Kind.POSITIVE_ENTROPY, (), zero_loop, *bracket)
     # every component is a simple cycle; a state reads 0 if its 0-edge goes to the next
     trans = auto.transitions
@@ -228,11 +224,6 @@ def sigma_n_dimension(n: int) -> float:
     least n ones": log2 of the Perron root of the chain graph."""
     lo, hi = entropy(_sigma_n_chain(n))
     return (lo + hi) / (2 * math.log(2))
-
-
-def sigma_n_matrix_word_count(n: int, length: int) -> int:
-    """Number of admissible words of the given length (paths in the chain)."""
-    return _sigma_n_chain(n).count_paths(length)
 
 
 def cylinder_counts(hole: Hole, depth: int) -> tuple[int, int]:
@@ -340,10 +331,10 @@ def locate_entropy_transition(precision_bits: int) -> tuple[Fraction, Fraction]:
         cls = classify(Hole(a, 1 - a))
         return cls.kind is Kind.POSITIVE_ENTROPY
 
-    if positive(lo) or not positive(hi):
-        raise ValueError(f"seed bracket [{lo}, {hi}] does not straddle the transition")
     target = Fraction(1, 2 ** precision_bits)
     try:
+        if positive(lo) or not positive(hi):
+            raise ValueError(f"seed bracket [{lo}, {hi}] does not straddle the transition")
         while hi - lo > target:
             mid = (lo + hi) / 2
             if positive(mid):
@@ -352,7 +343,7 @@ def locate_entropy_transition(precision_bits: int) -> tuple[Fraction, Fraction]:
                 lo = mid
     except BudgetExceededError as exc:
         raise BudgetExceededError(
-            f"state budget exceeded at bracket [{format_short(lo)}, {format_short(hi)}]",
+            f"{exc}; bisection bracket [{format_short(lo)}, {format_short(hi)}]",
             partial=(lo, hi),
         ) from exc
     return lo, hi

@@ -50,10 +50,11 @@ def convergents(cf) -> list[tuple[int, int]]:
     return out
 
 
-def cf_of_fraction(p: int, q: int) -> tuple[int, int]:
+def cf_of_fraction(p: int, q: int) -> tuple[int, ...]:
     """Digit tuple (a_1, ..., a_n) with a_n >= 2 for a rational p/q in (0, 1/2).
 
     Inverse of ``convergents``: the returned tuple has final convergent p/q.
+    Euclid's last quotient den // num has num | den and num < den, so it is >= 2.
     """
     if q <= 0 or p <= 0 or 2 * p >= q:
         raise ValueError(f"need 0 < p/q < 1/2, got {p}/{q}")
@@ -65,9 +66,6 @@ def cf_of_fraction(p: int, q: int) -> tuple[int, int]:
         c = den // num
         digits.append(c)
         den, num = num, den - c * num
-    if digits[-1] == 1 and len(digits) > 1:
-        digits.pop()
-        digits[-1] += 1
     return (digits[0] - 1,) + tuple(digits[1:])
 
 

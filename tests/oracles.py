@@ -30,8 +30,8 @@ survivor._cycles_avoiding      primitive_necklaces          test_cycle_scan_matc
 is_trap (gap recursion)        reference_is_trap            test_is_trap_matches_union_reference
 survivor._certify_trapped      reference_certify_trapped    test_is_trap_matches_union_reference
 is_trap (verdicts)             trap_by_automaton            test_is_trap_agrees_with_automaton_criterion
-sigma_n_matrix_word_count      transfer_matrix_count        test_sigma_counts_match_transfer_matrix
-sigma_n_matrix_word_count      brute_sigma_count            test_sigma_counts_match_bruteforce
+_sigma_n_chain(n).count_paths  transfer_matrix_count        test_sigma_counts_match_transfer_matrix
+_sigma_n_chain(n).count_paths  brute_sigma_count            test_sigma_counts_match_bruteforce
 *test_holes.py*
 holes.catalog (the theorem)    grid_search                  test_grid_search_returns_the_catalog
 test_supercritical (one eps)   grid_supercritical           test_near_misses_pass_one_epsilon_only

@@ -15,13 +15,13 @@ from dbhole.holes import test_supercritical as run_supercritical
 from dbhole.rationals import binary_expansion
 from dbhole.survivor import (
     Kind,
+    _sigma_n_chain,
     classify,
     cylinder_counts,
     enumerate_surviving_cycles,
     is_trap,
     locate_entropy_transition,
     sigma_n_dimension,
-    sigma_n_matrix_word_count,
 )
 from dbhole.words import (
     EvPeriodicWord,
@@ -255,6 +255,6 @@ def test_criterion_10_sigma_dimensions():
         return total
 
     for n in (1, 2):
-        ok = ok and brute_count(n, 24) == sigma_n_matrix_word_count(n, 24)
+        ok = ok and brute_count(n, 24) == _sigma_n_chain(n).count_paths(24)
     report(ok, "10 sigma dimensions match the golden mean and x^3 = x^2 + 1 "
                "roots to 1e-9, counts confirmed at length 24")

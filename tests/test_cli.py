@@ -1,6 +1,7 @@
 import hashlib
 import json
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -55,6 +56,17 @@ def test_long_malformed_fraction_gives_one_short_error_line(capsys, arg, cause):
     assert code == 2
     (line,) = err.splitlines()
     assert len(line) < 200 and "(10001 characters)" in line and cause in line
+
+
+@pytest.mark.parametrize("arg", ["1e-100000000", "1E5"])
+def test_exponent_notation_is_refused_at_once(capsys, arg):
+    # Fraction("1e-N") builds 10^N exactly, which takes minutes at N = 10^8
+    start = time.perf_counter()
+    code, out, err = run(capsys, "classify", "0", arg)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    (line,) = err.splitlines()
+    assert "malformed fraction" in line
 
 
 def test_classify_inverted_hole_exits_2(capsys):

@@ -211,6 +211,7 @@ def test_format_short():
 
 def test_fraction_io():
     assert parse_fraction("9/28") == F(9, 28)
+    assert parse_fraction(" 0.25 ") == F(1, 4)
     assert format_fraction(F(0)) == "0/1"
     with pytest.raises(ValueError):
         parse_fraction("nope")

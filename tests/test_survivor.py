@@ -16,6 +16,7 @@ from dbhole.survivor import (
     _perron_bracket,
     _cycles_avoiding,
     _zero_max_rotation,
+    _sigma_n_chain,
     classify,
     cylinder_counts,
     entropy,
@@ -23,7 +24,6 @@ from dbhole.survivor import (
     is_trap,
     locate_entropy_transition,
     sigma_n_dimension,
-    sigma_n_matrix_word_count,
 )
 from oracles import (
     brute_sigma_count,
@@ -191,19 +191,16 @@ def test_perron_budget_failure_is_not_memoised(monkeypatch, entropy_calls):
     assert cls.kind is Kind.POSITIVE_ENTROPY and 0 < cls.entropy_lo <= cls.entropy_hi
 
 
-def test_bracket_memo_drops_least_recently_used(monkeypatch):
+def test_bracket_memo_stops_storing_at_its_bound(monkeypatch, entropy_calls):
     monkeypatch.setattr(survivor, "BRACKET_CACHE_SIZE", 4)
     holes = _positive_entropy_holes(7, 6)
-
-    def ints(h):
-        return h.a.numerator, h.a.denominator, h.b.numerator, h.b.denominator
-
-    # the key is the smaller of the hole's endpoint integers and its mirror's
-    keys = [min(ints(h), ints(h.mirror())) for h in holes]
-    for hole in holes[:4] + [holes[0]] + holes[4:]:
-        classify(hole)
-    # holes[0] was used again before holes[4] arrived, so holes[1] went first
-    assert list(survivor._brackets) == [keys[3], keys[0], keys[4], keys[5]]
+    brackets = [classify(hole)[3:] for hole in holes]
+    assert len(entropy_calls) == 6
+    # a full memo stores nothing more, and drops nothing it holds
+    assert list(survivor._brackets) == [min(h, h.mirror()) for h in holes[:4]]
+    # the four stored mirrors are served, the two others pay for their own
+    assert [classify(hole.mirror())[3:] for hole in holes] == brackets
+    assert len(entropy_calls) == 8
 
 
 def _branching_graphs(auto):
@@ -628,19 +625,32 @@ def test_sigma_dimensions():
 @pytest.mark.parametrize("n", [1, 2])
 def test_sigma_counts_match_bruteforce(n):
     for length in (8, 12):
-        assert sigma_n_matrix_word_count(n, length) == brute_sigma_count(n, length)
+        assert _sigma_n_chain(n).count_paths(length) == brute_sigma_count(n, length)
 
 
 def test_sigma_counts_match_transfer_matrix():
     for n in range(1, 9):
         for length in range(30):
-            assert sigma_n_matrix_word_count(n, length) == transfer_matrix_count(n, length)
+            assert _sigma_n_chain(n).count_paths(length) == transfer_matrix_count(n, length)
 
 
 def test_sigma_count_rejects_negative_length():
-    assert sigma_n_matrix_word_count(2, 0) == 1
+    assert _sigma_n_chain(2).count_paths(0) == 1
     with pytest.raises(ValueError, match="-3"):
-        sigma_n_matrix_word_count(2, -3)
+        _sigma_n_chain(2).count_paths(-3)
+
+
+@pytest.mark.parametrize("budget, lo, hi", [(1000, F(211, 512), F(423, 1024)),
+                                             (100, F(3, 8), F(7, 16))],
+                         ids=["in-bisection", "at-seed"])
+def test_locate_names_the_perron_budget_and_the_bisection_bracket(monkeypatch, budget, lo, hi):
+    # the seed check at 7/16 is the first Perron call, so it is wrapped too:
+    # its partial answer is a bracket of a*, not of the Perron root
+    monkeypatch.setattr(survivor, "PERRON_WORK_BUDGET", budget)
+    with pytest.raises(BudgetExceededError,
+                       match=rf"^Perron .*; bisection bracket \[{lo}, {hi}\]$") as exc:
+        locate_entropy_transition(16)
+    assert exc.value.partial == (lo, hi)
 
 
 def test_locate_entropy_transition_coarse():
