@@ -138,8 +138,12 @@ def _cmd_word(args) -> str:
 
 
 def _cmd_sturmian(args) -> dict:
+    n, limit = args.precision_bits, getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and n + 2 >= (10 ** limit).bit_length():  # the brackets' 2^(n+2) >= 10^limit
+        raise ValueError(f"precision {n} bits: its denominator 2^{n + 2} has more than "
+                         f"the {limit} digits that Python converts to a string")
     cf = tuple(int(t) for t in args.cf.split(","))
-    hole = sturmian_hole(cf, args.precision_bits)
+    hole = sturmian_hole(cf, n)
     return {
         "cf_prefix": list(hole.cf_prefix),
         "left": _endpoint_json(hole.left),
@@ -181,7 +185,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bisect-astar",
                        help="bracket the positive-entropy transition of (a, 1-a)")
-    p.add_argument("--precision", type=int, required=True, help="bracket width 2^-N")
+    p.add_argument("--precision", type=int, required=True,
+                   help="bracket width at most 2^-N, never wider than the seed bracket")
     p.set_defaults(func=_cmd_bisect_astar)
 
     p = sub.add_parser("catalog", help="emit the supercritical-hole catalog")

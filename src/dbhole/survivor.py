@@ -39,7 +39,12 @@ class Classification(namedtuple("Classification",
     is tracked by ``zero_loop`` instead, and the formal all-ones loop, which
     codes no point of [0, 1), is never listed.  The entropy bracket is exact
     zero for the first two kinds and a certified positive interval for
-    PositiveEntropy.
+    PositiveEntropy.  ``zero_loop`` is always True (kept, as the CLI's JSON
+    and the benchmark's answers carry it): no open hole within [0, 1] holds
+    the fixed point 0.  On 0-edges from the start the B tie stays 0 (b_first
+    enters only on 1-edges), so none dies; the KMP border settles on the
+    longest all-zero prefix and the A tie only grows up to a bound, so the
+    path reaches a live state that is its own 0-successor.
     """
 
     __slots__ = ()
@@ -76,7 +81,7 @@ MAX_TRAP_INTERVALS = 20_000
 _brackets: dict[Hole, tuple[float, float]] = {}
 
 
-def _perron_bracket(succ: list[list[int]], rel_tol: Fraction) -> tuple[Fraction, Fraction]:
+def _perron_bracket(succ: list[list[int]]) -> tuple[Fraction, Fraction]:
     """Certified bracket for the Perron root of an irreducible digraph.
 
     ``succ[i]`` lists the successors of node i; a repeated entry is a
@@ -88,6 +93,7 @@ def _perron_bracket(succ: list[list[int]], rel_tol: Fraction) -> tuple[Fraction,
     entry once; past ``PERRON_WORK_BUDGET`` visits a BudgetExceededError
     carries the best bracket so far.
     """
+    rel_tol = ENTROPY_WIDTH / 4
     n = len(succ)
     max_iter = max(1, PERRON_WORK_BUDGET // (n + sum(map(len, succ))))
     x = [1] * n
@@ -127,13 +133,12 @@ def entropy(auto: SurvivorAutomaton) -> tuple[float, float]:
     branching = [states for states, is_cycle in auto.components if not is_cycle]
     if not branching:
         return (0.0, 0.0)
-    rel = ENTROPY_WIDTH / 4
     lam_lo, lam_hi = Fraction(1), Fraction(1)
     for comp in branching:
         idx = {s: i for i, s in enumerate(comp)}
         succ = [[idx[t] for t in auto.transitions[s] if t in idx] for s in comp]
         del idx  # Perron peaks at its own vectors, not at the index too
-        lo, hi = _perron_bracket(succ, rel)
+        lo, hi = _perron_bracket(succ)
         lam_lo = max(lam_lo, lo)
         lam_hi = max(lam_hi, hi)
     pad = 1e-13
@@ -146,14 +151,10 @@ def classify(hole: Hole) -> Classification:
     """Exact classification of the survivor set of an open hole.
 
     A PositiveEntropy bracket is memoised under the smaller of the hole and
-    its mirror, so a hole and its mirror pay for one entropy() call; the
-    kind, cycles and zero_loop always come from the hole's own automaton.
+    its mirror, so a hole and its mirror pay for one entropy() call; kind and
+    cycles come from the hole's own automaton, and zero_loop is always True.
     """
     auto = build_automaton(hole)
-    # the 0-loop state may sit inside a branching component (points can jump
-    # across a hole with 2a >= b), so look for the self-loop itself
-    zero_loop = any(live and auto.transitions[s][0] == s
-                    for s, live in enumerate(auto.live))
     if not all(is_cycle for _, is_cycle in auto.components):
         # The mirror (1 - b, 1 - a) builds this automaton with 0 and 1
         # swapped, and _perron_bracket commutes with relabelling the states,
@@ -164,7 +165,7 @@ def classify(hole: Hole) -> Classification:
             bracket = entropy(auto)
             if len(_brackets) < BRACKET_CACHE_SIZE:
                 _brackets[key] = bracket
-        return Classification(Kind.POSITIVE_ENTROPY, (), zero_loop, *bracket)
+        return Classification(Kind.POSITIVE_ENTROPY, (), True, *bracket)
     # every component is a simple cycle; a state reads 0 if its 0-edge goes to the next
     trans = auto.transitions
     cycle_words = ["".join("0" if trans[s][0] == t else "1"
@@ -174,9 +175,8 @@ def classify(hole: Hole) -> Classification:
         {_zero_max_rotation(w) for w in cycle_words if w not in ("0", "1")},
         key=lambda w: (len(w), w),
     )
-    if nontrivial:
-        return Classification(Kind.COUNTABLE_CYCLES, tuple(nontrivial), zero_loop, 0.0, 0.0)
-    return Classification(Kind.FIXED_ONLY, (), zero_loop, 0.0, 0.0)
+    kind = Kind.COUNTABLE_CYCLES if nontrivial else Kind.FIXED_ONLY
+    return Classification(kind, tuple(nontrivial), True, 0.0, 0.0)
 
 
 def _cycles_avoiding(inside, max_len: int):
@@ -212,18 +212,12 @@ def enumerate_surviving_cycles(hole: Hole, max_len: int) -> list[str]:
     return sorted(cycles, key=lambda w: (len(w), w))
 
 
-def _sigma_n_chain(n: int) -> SurvivorAutomaton:
-    """State 0 reads 1 and stays or reads 0 and owes n ones; k owes k ones."""
+def sigma_n_dimension(n: int) -> float:
+    """Hausdorff dimension of the set coded by "every 0 is followed by at least
+    n ones": up to countably many points, the survivor set of (0, 1/2 - 2^-(n+1))."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return SurvivorAutomaton.from_transitions([(n, 0)] + [(-1, k - 1) for k in range(1, n + 1)])
-
-
-def sigma_n_dimension(n: int) -> float:
-    """Hausdorff dimension of the set coded by "every 0 is followed by at
-    least n ones": log2 of the Perron root of the chain graph."""
-    lo, hi = entropy(_sigma_n_chain(n))
-    return (lo + hi) / (2 * math.log(2))
+    return classify(Hole(0, Fraction(1, 2) - Fraction(1, 2 ** (n + 1)))).dimension
 
 
 def cylinder_counts(hole: Hole, depth: int) -> tuple[int, int]:
@@ -317,11 +311,11 @@ def is_trap(c: Fraction, d: Fraction, depth: int = 24, tol=Fraction(1, 10**6)) -
 
 
 def locate_entropy_transition(precision_bits: int) -> tuple[Fraction, Fraction]:
-    """Dyadic bracket of width 2^-precision_bits around the symmetric-hole
-    parameter where the survivor set first gains positive entropy.
-
-    Bisection on a for holes (a, 1-a), from the seed bracket [3/8, 7/16]; the
-    survivor set only grows with a, so the classification flips exactly once.
+    """Dyadic bracket around the symmetric-hole parameter where the survivor
+    set first gains positive entropy: at most 2^-precision_bits wide, and never
+    wider than the seed bracket [3/8, 7/16] that bisection on a for holes
+    (a, 1-a) starts from.  The survivor set only grows with a, so the
+    classification flips exactly once.
     """
     if precision_bits < 1:
         raise ValueError("precision_bits must be positive")

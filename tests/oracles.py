@@ -30,8 +30,9 @@ survivor._cycles_avoiding      primitive_necklaces          test_cycle_scan_matc
 is_trap (gap recursion)        reference_is_trap            test_is_trap_matches_union_reference
 survivor._certify_trapped      reference_certify_trapped    test_is_trap_matches_union_reference
 is_trap (verdicts)             trap_by_automaton            test_is_trap_agrees_with_automaton_criterion
-_sigma_n_chain(n).count_paths  transfer_matrix_count        test_sigma_counts_match_transfer_matrix
-_sigma_n_chain(n).count_paths  brute_sigma_count            test_sigma_counts_match_bruteforce
+sigma_n_dimension              sigma_n_chain                test_sigma_dimension_is_the_chain_oracle_bit_for_bit
+count_paths (sigma_n_chain)    transfer_matrix_count        test_sigma_counts_match_transfer_matrix
+count_paths (sigma_n_chain)    brute_sigma_count            test_sigma_counts_match_bruteforce
 *test_holes.py*
 holes.catalog (the theorem)    grid_search                  test_grid_search_returns_the_catalog
 test_supercritical (one eps)   grid_supercritical           test_near_misses_pass_one_epsilon_only
@@ -45,6 +46,9 @@ survivor.cylinder_counts       recorder (monkeypatched)     test_survivor_dispat
 ``kneading_entropy`` reads two greedy paths off the automaton's transitions
 and live flags and finds no eigenvector, so it is independent of the Perron
 step but not of the build.
+``sigma_n_chain`` writes the sigma_n shift's (n + 1)-state chain by hand;
+``sigma_n_dimension`` reaches the same chain as the one branching component
+that ``build_automaton`` makes for the hole (0, 1/2 - 2^-(n+1)).
 ``rome_bracket`` shares only the graph with power iteration: it certifies
 the Perron root from the first-return paths between a few nodes that meet
 every cycle.
@@ -64,7 +68,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from dbhole.automaton import Hole, _graph_sccs, build_automaton
+from dbhole.automaton import Hole, SurvivorAutomaton, _graph_sccs, build_automaton
 from dbhole.rationals import BudgetExceededError, lex_max_expansion, lex_min_expansion
 from dbhole.survivor import TrapReport
 from dbhole.words import check_word
@@ -552,6 +556,12 @@ def brute_sigma_count(n, length):
             if ok:
                 stack.append(u)
     return count
+
+
+def sigma_n_chain(n):
+    """The sigma_n shift ("every 0 is followed by at least n ones") by hand:
+    state 0 reads 1 and stays or reads 0 and owes n ones; k owes k ones."""
+    return SurvivorAutomaton.from_transitions([(n, 0)] + [(-1, k - 1) for k in range(1, n + 1)])
 
 
 def transfer_matrix_count(n, length):

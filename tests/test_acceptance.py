@@ -15,7 +15,6 @@ from dbhole.holes import test_supercritical as run_supercritical
 from dbhole.rationals import binary_expansion
 from dbhole.survivor import (
     Kind,
-    _sigma_n_chain,
     classify,
     cylinder_counts,
     enumerate_surviving_cycles,
@@ -31,7 +30,7 @@ from dbhole.words import (
     standard_words,
     thue_morse,
 )
-from oracles import is_balanced, lex_compare, orbit
+from oracles import is_balanced, lex_compare, orbit, sigma_n_chain
 
 F = Fraction
 
@@ -255,6 +254,6 @@ def test_criterion_10_sigma_dimensions():
         return total
 
     for n in (1, 2):
-        ok = ok and brute_count(n, 24) == _sigma_n_chain(n).count_paths(24)
+        ok = ok and brute_count(n, 24) == sigma_n_chain(n).count_paths(24)
     report(ok, "10 sigma dimensions match the golden mean and x^3 = x^2 + 1 "
                "roots to 1e-9, counts confirmed at length 24")

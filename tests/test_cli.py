@@ -274,6 +274,25 @@ def test_sturmian_command(capsys):
     assert abs(float(data["right_float"]) - 0.572549) < 1e-5
 
 
+def test_sturmian_refuses_a_denominator_past_the_int_digit_limit(capsys):
+    # the brackets print over 2^(N+2); n is the least N whose denominator has
+    # more digits than this Python converts to a string
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this Python converts integers of any length to a string")
+    n = (10 ** limit).bit_length() - 2
+    assert 1 << (n + 1) < 10 ** limit <= 1 << (n + 2)
+    code, out, _ = run(capsys, "sturmian", "--cf", "1,1", "--precision-bits", str(n - 1))
+    assert code == 0 and json.loads(out)["precision_bits"] == n - 1
+    start = time.perf_counter()
+    code, out, err = run(capsys, "sturmian", "--cf", "1,1", "--precision-bits", str(n))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    (line,) = err.splitlines()
+    assert f"precision {n} bits" in line and str(limit) in line
+    assert "set_int_max_str_digits" not in line
+
+
 def test_supercritical_test_command(capsys):
     code, out, _ = run(capsys, "supercritical-test", "2/7", "15/28",
                        "--epsilon", "1/1024")

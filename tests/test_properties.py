@@ -71,6 +71,21 @@ def prefix_holes(draw):
 
 
 @hypothesis.given(st.one_of(holes(), prefix_holes()))
+def test_runs_of_one_symbol_end_on_a_live_self_loop(hole):
+    # classify reports zero_loop without a scan: the fixed point 0 lies in no
+    # open hole, so the 0-path from the start never dies and settles on a
+    # live state that is its own 0-successor; the 1-path mirrors it
+    auto = build_automaton(hole)
+    for symbol in (0, 1):
+        s, seen = 0, set()
+        while s not in seen:
+            seen.add(s)
+            s = auto.transitions[s][symbol]
+            assert s >= 0, (hole, symbol)
+        assert auto.transitions[s][symbol] == s and auto.live[s], (hole, symbol)
+
+
+@hypothesis.given(st.one_of(holes(), prefix_holes()))
 def test_states_outnumber_common_prefix(hole):
     # the start state and the state after each prefix of the common prefix
     # are distinct, so the budget may refuse a longer prefix before the build

@@ -16,7 +16,6 @@ from dbhole.survivor import (
     _perron_bracket,
     _cycles_avoiding,
     _zero_max_rotation,
-    _sigma_n_chain,
     classify,
     cylinder_counts,
     entropy,
@@ -34,6 +33,7 @@ from oracles import (
     reference_is_trap,
     reference_zero_max_rotation,
     rome_bracket,
+    sigma_n_chain,
     trap_by_automaton,
     transfer_matrix_count,
 )
@@ -234,7 +234,7 @@ def test_perron_bracket_matches_dense_reference():
     graphs += parallel
     graphs += [[[0, n]] + [[k - 1] for k in range(1, n + 1)] for n in range(1, 6)]
     for succ in graphs:
-        assert _perron_bracket(succ, rel) == dense_perron_bracket(dense_rows(succ), rel), succ
+        assert _perron_bracket(succ) == dense_perron_bracket(dense_rows(succ), rel), succ
 
 
 def test_perron_bracket_overlaps_rome_certificate():
@@ -254,13 +254,13 @@ def test_perron_bracket_overlaps_rome_certificate():
         if a < b:
             holes.add(Hole(a, b))
     autos = [build_automaton(hole) for hole in sorted(holes)]
-    autos += [survivor._sigma_n_chain(n) for n in range(1, 9)]
+    autos += [sigma_n_chain(n) for n in range(1, 9)]
     graphs = [succ for auto in autos for succ in _branching_graphs(auto)]
     assert len(graphs) > 100 and max(map(len, graphs)) > 1000
     for succ in graphs:
         lo, hi = rome_bracket(succ)
         assert hi - lo <= survivor.ENTROPY_WIDTH, succ
-        perron_lo, perron_hi = _perron_bracket(succ, survivor.ENTROPY_WIDTH / 4)
+        perron_lo, perron_hi = _perron_bracket(succ)
         assert max(lo, perron_lo) <= min(hi, perron_hi), succ
 
 
@@ -622,22 +622,32 @@ def test_sigma_dimensions():
     assert sigma_n_dimension(2) < sigma_n_dimension(1)
 
 
+def test_sigma_dimension_is_the_chain_oracle_bit_for_bit():
+    # the hole (0, 1/2 - 2^-(n+1)) has the (n+1)-state chain as its one
+    # branching component, so the pipeline's float is the chain's exactly
+    for n in range(1, 9):
+        lo, hi = entropy(sigma_n_chain(n))
+        assert sigma_n_dimension(n) == (lo + hi) / (2 * math.log(2)), n
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        sigma_n_dimension(0)
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_sigma_counts_match_bruteforce(n):
     for length in (8, 12):
-        assert _sigma_n_chain(n).count_paths(length) == brute_sigma_count(n, length)
+        assert sigma_n_chain(n).count_paths(length) == brute_sigma_count(n, length)
 
 
 def test_sigma_counts_match_transfer_matrix():
     for n in range(1, 9):
         for length in range(30):
-            assert _sigma_n_chain(n).count_paths(length) == transfer_matrix_count(n, length)
+            assert sigma_n_chain(n).count_paths(length) == transfer_matrix_count(n, length)
 
 
 def test_sigma_count_rejects_negative_length():
-    assert _sigma_n_chain(2).count_paths(0) == 1
+    assert sigma_n_chain(2).count_paths(0) == 1
     with pytest.raises(ValueError, match="-3"):
-        _sigma_n_chain(2).count_paths(-3)
+        sigma_n_chain(2).count_paths(-3)
 
 
 @pytest.mark.parametrize("budget, lo, hi", [(1000, F(211, 512), F(423, 1024)),
@@ -657,6 +667,12 @@ def test_locate_entropy_transition_coarse():
     lo, hi = locate_entropy_transition(4)
     assert hi - lo <= F(1, 16)
     assert F(3, 8) <= lo < hi <= F(7, 16)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_locate_never_returns_wider_than_the_seed_bracket(k):
+    # the seed bracket is already 2^-4 wide, so no precision up to 4 bisects
+    assert locate_entropy_transition(k) == (F(3, 8), F(7, 16))
 
 
 def test_entropy_decays_toward_the_transition():
