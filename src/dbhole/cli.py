@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .automaton import Hole
 from .holes import catalog, certify_entry, sturmian_hole, test_supercritical
-from .rationals import BudgetExceededError, format_fraction, parse_fraction
+from .rationals import BudgetExceededError, format_fraction, int_max_str_digits, parse_fraction
 from .survivor import (
     Classification,
     classify,
@@ -138,7 +138,7 @@ def _cmd_word(args) -> str:
 
 
 def _cmd_sturmian(args) -> dict:
-    n, limit = args.precision_bits, getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    n, limit = args.precision_bits, int_max_str_digits()
     if limit and n + 2 >= (10 ** limit).bit_length():  # the brackets' 2^(n+2) >= 10^limit
         raise ValueError(f"precision {n} bits: its denominator 2^{n + 2} has more than "
                          f"the {limit} digits that Python converts to a string")

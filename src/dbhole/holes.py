@@ -135,7 +135,7 @@ def catalog(max_q: int, sturmian_samples=(),
 
     step = ONE_QUARTER / max(1, degenerate_samples - 1)
     for i in range(degenerate_samples):
-        alpha = min(ONE_QUARTER, i * step)
+        alpha = i * step
         entries.append(CatalogEntry(
             "degenerate", alpha, Fraction(1, 2), {"alpha": str(alpha)}
         ))

@@ -31,6 +31,11 @@ class BudgetExceededError(RuntimeError):
         self.partial = partial
 
 
+def int_max_str_digits() -> int:
+    """The most digits Python converts between int and str, 0 for no limit."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 def parse_fraction(text: str) -> Fraction:
     """Parse "p/q", an integer or a decimal, not "1e-N", into a Fraction.
 
@@ -46,7 +51,7 @@ def parse_fraction(text: str) -> Fraction:
     except (ValueError, ZeroDivisionError) as exc:
         shown = repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
         digits = max(map(len, re.findall(r"[0-9]+", text)), default=0)
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        limit = int_max_str_digits()
         why = (f": a number has {digits} digits, more than the {limit} Python converts from a string"
                if 0 < limit < digits else "")
         raise ValueError(f"malformed fraction {shown}{why}") from exc

@@ -10,7 +10,6 @@ fast path (``dbhole``)         oracle                       test
 build_automaton transitions    reference_transitions        test_transitions_match_shift_and_reference
 SurvivorAutomaton.live         peel_dead_ends               test_live_flags_match_dead_end_peeling
 build_automaton (paths)        accepts                      test_path_existence_matches_lexicographic_death
-build_automaton prefix budget  common_prefix_len            test_states_outnumber_common_prefix
 *test_words.py*, *test_rationals.py*, *test_acceptance.py*
 standard_words                 is_balanced                  test_criterion_9_property_suites
 characteristic_prefix          is_balanced                  test_criterion_9_property_suites
@@ -41,6 +40,8 @@ kernels.cylinder_counts        reference_counts             test_pure_kernel_mat
                                                             test_kernel_matches_reference_on_random_holes
 kernels.cylinder_counts        MAX_CYLINDER_DEPTH (budget)  test_depth_past_budget_raises_before_enumerating
 survivor.cylinder_counts       recorder (monkeypatched)     test_survivor_dispatches_to_kernel_at_call_time
+*test_properties.py*
+build_automaton prefix budget  common_prefix_len            test_states_outnumber_common_prefix
 =============================  ===========================  ==============================================
 
 ``kneading_entropy`` reads two greedy paths off the automaton's transitions

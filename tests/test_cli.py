@@ -1,14 +1,17 @@
 import hashlib
 import json
-import sys
 import time
 from fractions import Fraction
 
 import pytest
 
 from dbhole.cli import main
+from dbhole.rationals import int_max_str_digits
 
 F = Fraction
+DIGIT_LIMIT = int_max_str_digits()
+PAST_LIMIT_BITS = (10 ** DIGIT_LIMIT).bit_length() - 2
+ANY_LENGTH = "this Python converts integers of any length to and from a string"
 
 
 def run(capsys, *argv):
@@ -40,40 +43,6 @@ def test_classify_positive(capsys):
     assert float(data["entropy_lo"]) > 0
 
 
-def test_classify_malformed_fraction_exits_2(capsys):
-    code, _, err = run(capsys, "classify", "x/y", "2/3")
-    assert code == 2
-    assert "error" in err
-
-
-@pytest.mark.parametrize("arg, cause", [("1" * 5000 + "/" + "7" * 5000, "5000 digits"),
-                                        ("x" * 10001, "")],
-                         ids=["past-int-digit-limit", "letters"])
-def test_long_malformed_fraction_gives_one_short_error_line(capsys, arg, cause):
-    if cause and not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000:
-        pytest.skip("this Python reads integers of any length from a string")
-    code, _, err = run(capsys, "classify", "1/3", arg)
-    assert code == 2
-    (line,) = err.splitlines()
-    assert len(line) < 200 and "(10001 characters)" in line and cause in line
-
-
-@pytest.mark.parametrize("arg", ["1e-100000000", "1E5"])
-def test_exponent_notation_is_refused_at_once(capsys, arg):
-    # Fraction("1e-N") builds 10^N exactly, which takes minutes at N = 10^8
-    start = time.perf_counter()
-    code, out, err = run(capsys, "classify", "0", arg)
-    assert time.perf_counter() - start < 1
-    assert (code, out) == (2, "")
-    (line,) = err.splitlines()
-    assert "malformed fraction" in line
-
-
-def test_classify_inverted_hole_exits_2(capsys):
-    code, _, _ = run(capsys, "classify", "2/3", "1/3")
-    assert code == 2
-
-
 def test_scan_rows_and_monotone_kinds(capsys):
     code, out, _ = run(capsys, "scan", "1/4", "29/64", "6")
     assert code == 0
@@ -95,11 +64,6 @@ def test_scan_fixed_grid_values(capsys):
     assert rows["107/256"] == "PositiveEntropy"
 
 
-def test_scan_empty_grid_exits_2(capsys):
-    code, _, _ = run(capsys, "scan", "1/2", "3/5", "4")
-    assert code == 2
-
-
 def test_scan_deterministic(capsys):
     _, first, _ = run(capsys, "scan", "1/4", "3/8", "5")
     _, second, _ = run(capsys, "scan", "1/4", "3/8", "5")
@@ -113,11 +77,6 @@ def test_bisect_astar_coarse(capsys):
     lo, hi = F(data["lo"]), F(data["hi"])
     assert hi - lo <= F(1, 16)
     assert F(3, 8) <= lo < hi <= F(7, 16)
-
-
-def test_bisect_astar_precision_cap(capsys):
-    code, _, _ = run(capsys, "bisect-astar", "--precision", "30")
-    assert code == 2
 
 
 def test_catalog_small(capsys):
@@ -141,52 +100,10 @@ def test_catalog_certify_flags(capsys):
                for e in rational)
 
 
-def test_expansion_budget_exits_3(capsys):
-    v = 3 * 2**98 - 1  # trial division finds no factor within the budget
-    code, out, err = run(capsys, "classify", "1/3", f"{v // 2}/{v}")
-    assert code == 3
-    assert str(v) in err
-    assert out == ""
-
-
-def test_budget_exhaustion_exits_3(capsys, monkeypatch, tmp_path):
-    from fractions import Fraction
-    from dbhole.rationals import BudgetExceededError
-    import dbhole.cli as cli
-
-    def explode(precision):
-        raise BudgetExceededError("state budget exceeded",
-                                  partial=(Fraction(3, 8), Fraction(7, 16)))
-
-    monkeypatch.setattr(cli, "locate_entropy_transition", explode)
-    code, out, err = run(capsys, "bisect-astar", "--precision", "12")
-    assert code == 3
-    assert "budget" in err
-    assert json.loads(out) == {"partial_lo": "3/8", "partial_hi": "7/16"}
-    # the one-line partial answer goes to stdout even with --out
-    target = tmp_path / "never.json"
-    assert run(capsys, "bisect-astar", "--precision", "12",
-               "--out", str(target)) == (3, out, err)
-    assert not target.exists()
-
-
-
-def test_perron_budget_exits_3_with_partial_bracket(capsys, monkeypatch):
-    from dbhole import survivor
-
-    monkeypatch.setattr(survivor, "PERRON_WORK_BUDGET", 100)
-    code, out, err = run(capsys, "classify", "21/50", "29/50")
-    assert code == 3
-    assert "Perron" in err
-    (line,) = out.splitlines()
-    partial = json.loads(line)
-    assert sorted(partial) == ["partial_hi", "partial_lo"]
-    assert 1 < F(partial["partial_lo"]) <= F(partial["partial_hi"])
-
-
-def test_state_budget_reaches_every_entry_point(capsys, monkeypatch):
+def test_state_budget_reaches_every_entry_point(monkeypatch):
     # the budget is read at call time, so patching the module constant
-    # reaches every caller; the middle third needs 5 states
+    # reaches every caller; the middle third needs 5 states.  REFUSALS holds
+    # the CLI's entry points under the same budget
     from dbhole import automaton
     from dbhole.automaton import Hole
     from dbhole.holes import catalog, certify_entry
@@ -200,10 +117,6 @@ def test_state_budget_reaches_every_entry_point(capsys, monkeypatch):
         certify_entry(catalog(3)[0], F(1, 1024))
     with pytest.raises(BudgetExceededError):
         locate_entropy_transition(4)
-    for argv in (["classify", "1/3", "2/3"], ["catalog", "--max-q", "3", "--certify"]):
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (3, ""), argv
-        assert "exceeds 4 states" in err, argv
 
 
 def test_catalog_with_sturmian_bracket(capsys):
@@ -234,13 +147,6 @@ def test_trap_undecided_prints_null(capsys):
     data = json.loads(out)
     assert data["trapped"] is None
     assert data["escape_witness"] is None
-
-
-def test_trap_negative_depth_or_tol_exits_2(capsys):
-    for flags in (["--depth", "-1"], ["--tol", "-1"], ["--tol", "0"]):
-        code, out, err = run(capsys, "trap", "1/3", "2/3", *flags)
-        assert code == 2, flags
-        assert out == "" and "error" in err
 
 
 def test_word_standard(capsys):
@@ -274,23 +180,15 @@ def test_sturmian_command(capsys):
     assert abs(float(data["right_float"]) - 0.572549) < 1e-5
 
 
+@pytest.mark.skipif(not DIGIT_LIMIT, reason=ANY_LENGTH)
 def test_sturmian_refuses_a_denominator_past_the_int_digit_limit(capsys):
-    # the brackets print over 2^(N+2); n is the least N whose denominator has
-    # more digits than this Python converts to a string
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if not limit:
-        pytest.skip("this Python converts integers of any length to a string")
-    n = (10 ** limit).bit_length() - 2
-    assert 1 << (n + 1) < 10 ** limit <= 1 << (n + 2)
+    # the brackets print over 2^(N+2); PAST_LIMIT_BITS is the least N whose
+    # denominator has more digits than this Python converts to a string.
+    # REFUSALS refuses it; one bit less still prints
+    n = PAST_LIMIT_BITS
+    assert 1 << (n + 1) < 10 ** DIGIT_LIMIT <= 1 << (n + 2)
     code, out, _ = run(capsys, "sturmian", "--cf", "1,1", "--precision-bits", str(n - 1))
     assert code == 0 and json.loads(out)["precision_bits"] == n - 1
-    start = time.perf_counter()
-    code, out, err = run(capsys, "sturmian", "--cf", "1,1", "--precision-bits", str(n))
-    assert time.perf_counter() - start < 1
-    assert (code, out) == (2, "")
-    (line,) = err.splitlines()
-    assert f"precision {n} bits" in line and str(limit) in line
-    assert "set_int_max_str_digits" not in line
 
 
 def test_supercritical_test_command(capsys):
@@ -309,15 +207,6 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["kind"] == "CountableCycles"
-
-
-def test_unwritable_out_exits_2(tmp_path, capsys):
-    target = tmp_path / "missing" / "x.json"
-    code, out, err = run(capsys, "classify", "1/3", "2/3", "--out", str(target))
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and str(target) in err
-    assert "Traceback" not in err
 
 
 # sha256 of the stdout of every README command line, plus a few more
@@ -346,6 +235,12 @@ GOLDEN = [
      "1643170e7264c4ad2fc1e2dfac457eaeb0f5bc74495f4a2c93645e0571262919"),
     ("trap 1/3 2/3 --depth 2",
      "b657a8900a794712f8bcdd1eab0f3462d92c7ac39207617068be4da1ccf93466"),
+    # trapped: true
+    ("trap 1/3 2/3",
+     "bf8d650df147f151e5eb320e53078b149e47eb9090274f2901dc6ee34774e3f3"),
+    # 60 entries, every one certified
+    ("catalog --max-q 8 --certify",
+     "b70775557cbbe7f8d0733fb123828cb91c521b40f9afe2962d27ad648cc66240"),
 ]
 
 
@@ -368,3 +263,102 @@ def test_out_file_holds_the_stdout_bytes(tmp_path, capsys, line):
     code, out, err = run(capsys, *line.split(), "--out", str(target))
     assert (code, out, err) == (0, "", "")
     assert target.read_text() == printed
+
+
+
+def refusal(name, line, code, fragment, partial=None, patches=(), seconds=1, marks=()):
+    return pytest.param(line, code, fragment, partial, patches, seconds, id=name, marks=marks)
+
+
+STATES_4 = [("dbhole.automaton.MAX_STATES", 4)]
+PERRON_100 = [("dbhole.survivor.PERRON_WORK_BUDGET", 100)]
+NO_FACTOR = 3 * 2**98 - 1  # trial division finds no factor within the budget
+ODD_3_9000 = 3**9000  # 14,265 bits, past MAX_ODD_BITS; its period would take tens of seconds
+
+# Every refusal of the CLI: exit 2 for a bad argument or an unwritable
+# --out, exit 3 when a budget runs out, with its partial answer (lo, hi) if
+# it has one.  "{tmp}" stands for the test's temporary directory
+REFUSALS = [
+    refusal("malformed-fraction", "classify x/y 2/3", 2, "malformed fraction 'x/y'"),
+    refusal("long-past-int-digit-limit", f"classify 1/3 {'1' * 5000}/{'7' * 5000}", 2,
+            "... (10001 characters): a number has 5000 digits",
+            marks=pytest.mark.skipif(not 0 < DIGIT_LIMIT < 5000, reason=ANY_LENGTH)),
+    refusal("long-letters", f"classify 1/3 {'x' * 10001}", 2, "'... (10001 characters)"),
+    # Fraction("1e-N") builds 10^N exactly, which takes minutes at N = 10^8
+    refusal("exponent-1e-100000000", "classify 0 1e-100000000", 2, "fraction '1e-100000000'"),
+    refusal("exponent-1E5", "classify 0 1E5", 2, "malformed fraction '1E5'"),
+    refusal("inverted-hole", "classify 2/3 1/3", 2, "need 0 <= a < b <= 1, got (2/3, 1/3)"),
+    refusal("unwritable-out", "classify 1/3 2/3 --out {tmp}/missing/x.json", 2,
+            "No such file or directory: '{tmp}/missing/x.json'"),
+    refusal("scan-empty-grid", "scan 1/2 3/5 4", 2, "empty dyadic grid in [1/2, 3/5] at 2^-4"),
+    refusal("scan-grid-31", "scan 1/4 1/2 31", 2, "grid exponent must be in 1..30"),
+    refusal("bisect-astar-precision-30", "bisect-astar --precision 30", 2, "must be in 1..24"),
+    refusal("catalog-max-q-1", "catalog --max-q 1", 2, "max_q must be >= 2"),
+    refusal("catalog-no-samples", "catalog --degenerate-samples 0", 2, "samples must be >= 1"),
+    refusal("catalog-sturmian-letter", "catalog --sturmian 1,x", 2, "base 10: 'x'"),
+    refusal("trap-depth-negative", "trap 1/3 2/3 --depth -1", 2, "got -1 and 1/1000000"),
+    refusal("trap-tol-negative", "trap 1/3 2/3 --tol -1", 2, "tol > 0, got 24 and -1"),
+    refusal("trap-tol-0", "trap 1/3 2/3 --tol 0", 2, "tol > 0, got 24 and 0"),
+    refusal("trap-inverted", "trap 2/3 1/3", 2, "need 0 < c < d < 1, got [2/3, 1/3]"),
+    refusal("word-standard", "word standard", 2, "standard needs continued-fraction entries"),
+    refusal("word-characteristic", "word characteristic", 2, "characteristic needs --cf"),
+    refusal("word-characteristic-cf", "word characteristic --cf 1,1", 2, "needs --length"),
+    refusal("word-thue-morse", "word thue-morse", 2, "thue-morse needs a length"),
+    refusal("sturmian-precision-0", "sturmian --cf 1,1 --precision-bits 0", 2,
+            "precision_bits must be positive"),
+    # refused before any work, in place of Python's own int-to-str error
+    refusal("sturmian-past-int-digit-limit",
+            f"sturmian --cf 1,1 --precision-bits {PAST_LIMIT_BITS}", 2,
+            f"precision {PAST_LIMIT_BITS} bits: its denominator 2^{PAST_LIMIT_BITS + 2} has "
+            f"more than the {DIGIT_LIMIT} digits that Python converts to a string",
+            marks=pytest.mark.skipif(not DIGIT_LIMIT, reason=ANY_LENGTH)),
+    refusal("supercritical-empty-inner", "supercritical-test 2/7 15/28 --epsilon 1/8", 2,
+            "inner hole empty: (23/56, 23/56) at epsilon 1/8"),
+    refusal("supercritical-epsilon-0", "supercritical-test 2/7 15/28 --epsilon 0", 2,
+            "epsilon must be positive"),
+    refusal("trial-division-budget", f"classify 1/3 {NO_FACTOR // 2}/{NO_FACTOR}", 3,
+            f"trial division of {NO_FACTOR} passed 4194304 without a factor", seconds=5),
+    refusal("odd-part-budget", f"classify 1/3 {(ODD_3_9000 - 1) // 2}/{ODD_3_9000}", 3,
+            "<14265-bit integer>: odd part has 14265 bits, above 4096"),
+    refusal("state-budget-classify", "classify 1/3 2/3", 3,
+            "automaton for (1/3, 2/3) exceeds 4 states", patches=STATES_4),
+    refusal("state-budget-catalog", "catalog --max-q 3 --certify", 3, "exceeds 4 states",
+            patches=STATES_4),
+    refusal("common-prefix-budget", "classify 1/3 1027/3072", 3,
+            "share more than 4 leading binary digits", patches=STATES_4),
+    refusal("state-budget-bisect-astar", "bisect-astar --precision 4", 3,
+            "(3/8, 5/8) exceeds 4 states; bisection bracket [3/8, 7/16]",
+            partial=("3/8", "7/16"), patches=STATES_4),
+    refusal("perron-budget-classify", "classify 21/50 29/50", 3, "Perron bracket did not reach",
+            partial=("42/29", "27/17"), patches=PERRON_100),
+    refusal("perron-budget-bisect-astar", "bisect-astar --precision 4", 3,
+            "100 node and successor-entry visits; bisection bracket [3/8, 7/16]",
+            partial=("3/8", "7/16"), patches=PERRON_100),
+    refusal("perron-budget-supercritical", "supercritical-test 2/7 15/28", 3,
+            "Perron bracket did not reach", partial=("1/1", "24/19"), patches=PERRON_100),
+]
+
+
+@pytest.mark.parametrize("line, code, fragment, partial, patches, seconds", REFUSALS)
+def test_refusal(capsys, monkeypatch, tmp_path, line, code, fragment, partial, patches, seconds):
+    for target, value in patches:
+        monkeypatch.setattr(target, value)
+    argv = line.replace("{tmp}", str(tmp_path)).split()
+    start = time.perf_counter()
+    refused = run(capsys, *argv)
+    assert time.perf_counter() - start < seconds
+    got, out, err = refused
+    assert got == code
+    (message,) = err.splitlines()
+    assert message.startswith("error: ") and len(message) < 200 and "Traceback" not in err
+    assert fragment.replace("{tmp}", str(tmp_path)) in message
+    if partial is None:
+        assert out == ""
+    else:
+        (answer,) = out.splitlines()
+        assert json.loads(answer) == {"partial_lo": partial[0], "partial_hi": partial[1]}
+        assert F(partial[0]) <= F(partial[1])
+    # nothing is written to --out, and a partial answer still goes to stdout
+    target = tmp_path / "never.json"
+    assert run(capsys, argv[0], "--out", str(target), *argv[1:]) == refused
+    assert not target.exists()
