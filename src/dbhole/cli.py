@@ -19,16 +19,18 @@ from fractions import Fraction
 
 from .automaton import Hole
 from .holes import catalog, certify_entry, sturmian_hole, test_supercritical
-from .rationals import BudgetExceededError, format_fraction, int_max_str_digits, parse_fraction
+from .rationals import (BudgetExceededError, format_fraction, format_short, int_max_str_digits,
+                        parse_fraction)
 from .survivor import (
     Classification,
     classify,
     is_trap,
     locate_entropy_transition,
 )
-from .words import characteristic_prefix, standard_words, thue_morse
+from .words import characteristic_prefix, convergents, standard_words, thue_morse
 
 MAX_BISECT_PRECISION = 24
+MAX_WORD_LENGTH = 1 << 20  # longest word `word` prints, and longest standard word its digits force
 
 
 def _fmt_float(x: float) -> str:
@@ -116,11 +118,20 @@ def _cmd_trap(args) -> dict:
     }
 
 
+def _capped(length: int) -> int:
+    """The length of a word to build, refused past MAX_WORD_LENGTH before it is built."""
+    if length > MAX_WORD_LENGTH:
+        raise ValueError(f"word needs {format_short(length)} symbols, "
+                         f"above the cap of {MAX_WORD_LENGTH}")
+    return length
+
+
 def _cmd_word(args) -> str:
     if args.kind == "standard":
         cf = tuple(int(t) for t in args.entries)
         if not cf:
             raise ValueError("standard needs continued-fraction entries")
+        _capped(convergents(cf)[-1][1])  # q_n, the length of the last standard word
         text = standard_words(cf)[-1]
     elif args.kind == "characteristic":
         if not args.cf:
@@ -128,11 +139,12 @@ def _cmd_word(args) -> str:
         cf = tuple(int(t) for t in args.cf.split(","))
         if args.length is None:
             raise ValueError("characteristic needs --length")
+        _capped(max(args.length, convergents(cf)[-1][1]))
         text = characteristic_prefix(cf, args.length, extend=not args.no_extend)
     else:  # thue-morse
         if not args.entries:
             raise ValueError("thue-morse needs a length")
-        text = thue_morse(int(args.entries[0]))
+        text = thue_morse(_capped(int(args.entries[0])))
     # --json keeps its one-line form, unlike the indented JSON of dicts
     return json.dumps({"word": text}) if args.json else text
 

@@ -153,7 +153,7 @@ def binary_expansion(x: Fraction) -> EvPeriodicWord:
     ``MAX_TRIAL_DIVISOR``, or whose period is longer than ``MAX_PERIOD``
     symbols, raises BudgetExceededError.
     """
-    x = Fraction(x)
+    x = x if type(x) is Fraction else Fraction(x)
     p, q = x.numerator, x.denominator
     if not 0 <= p < q:
         raise ValueError(f"x must lie in [0, 1), got {x}")

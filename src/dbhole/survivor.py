@@ -147,6 +147,12 @@ def entropy(auto: SurvivorAutomaton) -> tuple[float, float]:
     return (h_lo, h_hi)
 
 
+def _bracket_key(hole: Hole) -> Hole:
+    """min(hole, hole.mirror()), read off the integer pairs: the mirror exactly when a + b > 1."""
+    (pa, qa), (pb, qb) = hole.a.as_integer_ratio(), hole.b.as_integer_ratio()
+    return hole.mirror() if pa * qb + pb * qa > qa * qb else hole
+
+
 def classify(hole: Hole) -> Classification:
     """Exact classification of the survivor set of an open hole.
 
@@ -155,28 +161,22 @@ def classify(hole: Hole) -> Classification:
     cycles come from the hole's own automaton, and zero_loop is always True.
     """
     auto = build_automaton(hole)
-    if not all(is_cycle for _, is_cycle in auto.components):
-        # The mirror (1 - b, 1 - a) builds this automaton with 0 and 1
-        # swapped, and _perron_bracket commutes with relabelling the states,
-        # so the two holes share one bracket, bit for bit.
-        key = min(hole, hole.mirror())
-        bracket = _brackets.get(key)
-        if bracket is None:
-            bracket = entropy(auto)
+    for _, is_cycle in auto.components:
+        if not is_cycle:
+            # the mirror's automaton swaps 0 and 1 and renumbers states, which Perron never sees
+            key = _bracket_key(hole)
+            bracket = _brackets.get(key) or entropy(auto)
             if len(_brackets) < BRACKET_CACHE_SIZE:
-                _brackets[key] = bracket
-        return Classification(Kind.POSITIVE_ENTROPY, (), True, *bracket)
-    # every component is a simple cycle; a state reads 0 if its 0-edge goes to the next
+                _brackets.setdefault(key, bracket)
+            return Classification(Kind.POSITIVE_ENTROPY, (), True, *bracket)
+    # a state reads 0 if its 0-edge goes to the next; a one-state cycle, 0 or 1, is not listed
     trans = auto.transitions
-    cycle_words = ["".join("0" if trans[s][0] == t else "1"
-                           for s, t in zip(states, states[1:] + states[:1]))
-                   for states, _ in auto.components]
-    nontrivial = sorted(
-        {_zero_max_rotation(w) for w in cycle_words if w not in ("0", "1")},
-        key=lambda w: (len(w), w),
-    )
-    kind = Kind.COUNTABLE_CYCLES if nontrivial else Kind.FIXED_ONLY
-    return Classification(kind, tuple(nontrivial), True, 0.0, 0.0)
+    cycles = {_zero_max_rotation("".join("0" if trans[s][0] == t else "1"
+                                         for s, t in zip(states, states[1:] + states[:1])))
+              for states, _ in auto.components if len(states) > 1}
+    kind = Kind.COUNTABLE_CYCLES if cycles else Kind.FIXED_ONLY
+    ordered = tuple(sorted(cycles, key=lambda w: (len(w), w))) if cycles else ()
+    return Classification(kind, ordered, True, 0.0, 0.0)
 
 
 def _cycles_avoiding(inside, max_len: int):

@@ -14,7 +14,7 @@ from collections import namedtuple
 
 def check_word(w: str) -> str:
     """Validate a finite 0-1 word."""
-    if any(c not in "01" for c in w):
+    if w.strip("01"):  # a symbol other than 0 and 1 stops the strip from either end
         raise ValueError(f"not a 0-1 word: {w!r}")
     return w
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from dbhole.cli import main
+from dbhole.cli import MAX_WORD_LENGTH, main
 from dbhole.rationals import int_max_str_digits
 
 F = Fraction
@@ -171,6 +171,11 @@ def test_word_json(capsys):
     assert json.loads(out) == {"word": "01101001"}
 
 
+def test_word_length_cap_admits_its_bound(capsys):
+    code, out, err = run(capsys, "word", "thue-morse", str(MAX_WORD_LENGTH))
+    assert (code, len(out), err) == (0, MAX_WORD_LENGTH + 1, "")
+
+
 def test_sturmian_command(capsys):
     code, out, _ = run(capsys, "sturmian", "--cf", "1,1,1,1,1,1,1",
                        "--precision-bits", "30")
@@ -304,6 +309,16 @@ REFUSALS = [
     refusal("word-characteristic", "word characteristic", 2, "characteristic needs --cf"),
     refusal("word-characteristic-cf", "word characteristic --cf 1,1", 2, "needs --length"),
     refusal("word-thue-morse", "word thue-morse", 2, "thue-morse needs a length"),
+    # every word command builds at most MAX_WORD_LENGTH symbols, standard
+    # words on the way included, and refuses more before it builds any
+    refusal("word-thue-morse-8000000", "word thue-morse 8000000", 2,
+            "word needs 8000000 symbols, above the cap of 1048576"),
+    refusal("word-standard-1000000000", "word standard 1000000000", 2,
+            "word needs 1000000001 symbols"),
+    refusal("word-characteristic-length", "word characteristic --cf 1,1 --length 1048577", 2,
+            "word needs 1048577 symbols"),
+    refusal("word-characteristic-cf-1000000000",
+            "word characteristic --cf 1000000000 --length 5", 2, "word needs 1000000001 symbols"),
     refusal("sturmian-precision-0", "sturmian --cf 1,1 --precision-bits 0", 2,
             "precision_bits must be positive"),
     # refused before any work, in place of Python's own int-to-str error

@@ -12,6 +12,7 @@ from dbhole.rationals import BudgetExceededError
 from dbhole.survivor import (
     Kind,
     TrapReport,
+    _bracket_key,
     _graph_sccs,
     _perron_bracket,
     _cycles_avoiding,
@@ -201,6 +202,44 @@ def test_bracket_memo_stops_storing_at_its_bound(monkeypatch, entropy_calls):
     # the four stored mirrors are served, the two others pay for their own
     assert [classify(hole.mirror())[3:] for hole in holes] == brackets
     assert len(entropy_calls) == 8
+
+
+def _symmetric_holes_and_neighbours():
+    """Symmetric holes (a, 1 - a), dyadic a and a = j/q, and each with one end moved by 2^-k."""
+    for a in [F(j, 2**k) for k in range(1, 8) for j in range(1, 2**(k - 1))] + [
+            F(j, q) for q in (3, 7, 10, 31, 1001) for j in range(1, (q + 1) // 2)]:
+        yield Hole(a, 1 - a)
+        for k in (3, 10, 60):
+            eps = F(1, 2**k)
+            for lo, hi in ((a - eps, 1 - a), (a + eps, 1 - a), (a, 1 - a - eps), (a, 1 - a + eps)):
+                if 0 <= lo < hi <= 1:
+                    yield Hole(lo, hi)
+
+
+def _seeded_holes(seed, count, bits):
+    rng = random.Random(seed)
+    for _ in range(count):
+        q1, q2 = rng.randrange(1, 2**bits) + 1, rng.randrange(1, 2**bits) + 1
+        a, b = sorted((F(rng.randrange(q1 + 1), q1), F(rng.randrange(q2 + 1), q2)))
+        if a < b:
+            yield Hole(a, b)
+
+
+@pytest.mark.parametrize("holes, at_least", [
+    (_symmetric_holes_and_neighbours, 500),
+    (lambda: _seeded_holes(27, 1500, 12), 1000),
+    (lambda: _seeded_holes(28, 200, 200), 150),  # endpoints with 200-bit denominators
+    (lambda: [Hole(0, 1), Hole(0, F(1, 2**200)), Hole(1 - F(1, 2**200), 1)], 3),
+], ids=["symmetric-and-neighbours", "seeded", "200-bit", "ends"])
+def test_bracket_key_is_the_smaller_of_hole_and_mirror(holes, at_least):
+    mirrored = []
+    for hole in holes():
+        key = _bracket_key(hole)
+        assert key == min(hole, hole.mirror()) and type(key) is Hole
+        # a symmetric hole is its own mirror and keys as itself
+        assert key is hole or hole.a + hole.b > 1
+        mirrored.append(key is not hole)
+    assert len(mirrored) >= at_least and any(mirrored) and not all(mirrored)
 
 
 def _branching_graphs(auto):

@@ -9,6 +9,7 @@ from dbhole.words import (
     cf_of_fraction,
     characteristic_prefix,
     check_cf,
+    check_word,
     convergents,
     cyclic_extremes,
     standard_words,
@@ -144,6 +145,17 @@ def test_cyclic_extremes_of_standard_word_moves_last_symbol():
             assert cyclic_extremes(w)[1] == w[-1] + w[:-1]
             checked += 1
     assert checked >= 8
+
+
+@pytest.mark.parametrize("w", ["a01", "0a1", "01a", "0 1", "2", "01\n"])
+def test_check_word_refuses_any_other_symbol(w):
+    with pytest.raises(ValueError, match="not a 0-1 word"):
+        check_word(w)
+
+
+@pytest.mark.parametrize("w", ["", "0", "1", "0110"])
+def test_check_word_passes_0_1_words(w):
+    assert check_word(w) == w
 
 
 def test_thue_morse():
