@@ -14,6 +14,7 @@ recursion on the gaps whose points have not yet met the interval.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
@@ -243,10 +244,11 @@ class TrapReport(namedtuple("TrapReport", "trapped residual_measure escape_witne
 def _certify_trapped(gaps: list[tuple[Fraction, Fraction]]) -> bool:
     """True when no point of (0, 1) can stay inside the gaps forever.
 
-    Needs every gap within (0, 1/2] or [1/2, 1), the first at 0 and the last
-    at 1, as is_trap's gaps are once 1/2 lies in [c, d]; each gap then has
-    one image under 2x mod 1.  Builds the directed overlap graph of those
-    images.  The end gaps lose their self-loop (doubling expels every
+    Needs the gaps sorted and disjoint, every one within (0, 1/2] or
+    [1/2, 1), the first at 0 and the last at 1, as is_trap's gaps are once
+    1/2 lies in [c, d]; each gap then has one image under 2x mod 1, which
+    meets one contiguous run of gaps.  Builds the directed overlap graph of
+    those images.  The end gaps lose their self-loop (doubling expels every
     interior point in finite time).  Any other forever-avoiding orbit would
     settle in one strongly connected component; if that component is a
     single cycle of gaps, the composed affine return map is expanding with a
@@ -254,7 +256,8 @@ def _certify_trapped(gaps: list[tuple[Fraction, Fraction]]) -> bool:
     -- certified impossible when the fixed point lies in no gap.
     """
     branch = [int(lo >= Fraction(1, 2)) for lo, _ in gaps]
-    succ = [[j for j, (glo, ghi) in enumerate(gaps) if 2 * lo - s < ghi and glo < 2 * hi - s]
+    los, his = zip(*gaps)  # both increasing; gap j meets (x, y) iff x < his[j] and los[j] < y
+    succ = [list(range(bisect_right(his, 2 * lo - s), bisect_left(los, 2 * hi - s)))
             for (lo, hi), s in zip(gaps, branch)]
     succ[0].remove(0)
     succ[-1].remove(len(gaps) - 1)

@@ -8,8 +8,11 @@ strings over "01"; infinite eventually periodic words are
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import namedtuple
+
+MAX_WORD_LENGTH = 1 << 20  # longest word a builder returns; none builds one twice as long
 
 
 def check_word(w: str) -> str:
@@ -69,15 +72,25 @@ def cf_of_fraction(p: int, q: int) -> tuple[int, ...]:
     return (digits[0] - 1,) + tuple(digits[1:])
 
 
+def _check_length(length: int) -> None:
+    """Refuse a word of ``length`` symbols past MAX_WORD_LENGTH, before it is built."""
+    if length > MAX_WORD_LENGTH:
+        from .rationals import format_short  # rationals imports this module
+        raise ValueError(f"word needs {format_short(length)} symbols, "
+                         f"above the cap of {MAX_WORD_LENGTH}")
+
+
 def standard_words(cf) -> list[str]:
     """The recursion s_{-1}=1, s_0=0, s_{k+1} = s_k^{a_{k+1}} s_{k-1}.
 
     Returns [s_{-1}, s_0, s_1, ..., s_n] for cf = (a_1, ..., a_n).  The word
-    s_k has length q_k and 1-count p_k, the k-th convergent of cf.
+    s_k has length q_k and 1-count p_k, the k-th convergent of cf.  A word
+    longer than MAX_WORD_LENGTH is refused before it is built.
     """
     cf = check_cf(cf)
     words = ["1", "0"]
     for a in cf:
+        _check_length(a * len(words[-1]) + len(words[-2]))
         words.append(words[-1] * a + words[-2])
     return words
 
@@ -85,28 +98,32 @@ def standard_words(cf) -> list[str]:
 def characteristic_prefix(cf, length: int, extend: bool = True) -> str:
     """First ``length`` symbols of the characteristic word lim s_n.
 
-    Since s_{k+1} begins with s_k, the prefix depends only on finitely many
-    digits.  With ``extend`` the given tuple is padded with trailing 1s until
-    the last standard word is long enough; padding never changes symbols that
-    the given digits already determine.
+    Since s_{k+1} = s_k^{a_{k+1}} s_{k-1} begins with s_k^{a_{k+1}}, the
+    prefix is read off the first s_k whose a_{k+1} copies cover it, so it
+    costs O(length) symbols whatever the digits.  With ``extend`` the given
+    tuple is padded with trailing 1s until the last standard word is long
+    enough; padding never changes symbols that the given digits already
+    determine.
     """
     cf = check_cf(cf)
     if length < 1:
         raise ValueError("length must be positive")
-    words = standard_words(cf)
-    while len(words[-1]) < length:
-        if not extend:
-            raise ValueError(
-                f"prefix of length {length} unreachable from {cf} without extension"
-            )
-        words.append(words[-1] + words[-2])
-    return words[-1][:length]
+    _check_length(length)
+    prev, cur = "1", "0"
+    for a in itertools.chain(cf, itertools.repeat(1)) if extend else cf:
+        if a * len(cur) >= length:
+            return (cur * -(-length // len(cur)))[:length]
+        prev, cur = cur, cur * a + prev
+    if len(cur) < length:
+        raise ValueError(f"prefix of length {length} unreachable from {cf} without extension")
+    return cur[:length]
 
 
 def thue_morse(length: int) -> str:
     """Prefix of the fixed point of 0 -> 01, 1 -> 10 starting with 0."""
     if length < 1:
         raise ValueError("length must be positive")
+    _check_length(length)
     w = "0"
     while len(w) < length:
         w += "".join("1" if c == "0" else "0" for c in w)

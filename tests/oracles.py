@@ -13,6 +13,7 @@ build_automaton (paths)        accepts                      test_path_existence_
 *test_words.py*, *test_rationals.py*, *test_acceptance.py*
 standard_words                 is_balanced                  test_criterion_9_property_suites
 characteristic_prefix          is_balanced                  test_criterion_9_property_suites
+characteristic_prefix          full_build_prefix            test_characteristic_prefix_matches_the_full_build
 binary_expansion (order)       lex_compare                  test_lex_order_matches_value_order_on_canonical_words,
                                                             test_criterion_9_property_suites
 EvPeriodicWord.shift           doubling_map                 test_shift_conjugacy
@@ -28,6 +29,7 @@ survivor._cycles_avoiding      primitive_necklaces          test_cycle_scan_matc
                                                             test_primitive_necklace_counts
 is_trap (gap recursion)        reference_is_trap            test_is_trap_matches_union_reference
 survivor._certify_trapped      reference_certify_trapped    test_is_trap_matches_union_reference
+_certify_trapped (overlaps)    pairwise_gap_successors      test_trap_certificate_overlaps_match_the_pairwise_scan
 is_trap (verdicts)             trap_by_automaton            test_is_trap_agrees_with_automaton_criterion
 sigma_n_dimension              sigma_n_chain                test_sigma_dimension_is_the_chain_oracle_bit_for_bit
 count_paths (sigma_n_chain)    transfer_matrix_count        test_sigma_counts_match_transfer_matrix
@@ -57,6 +59,11 @@ every cycle.
 necklace filter, not with the Lyndon-word scan it checks, and certifies
 with ``reference_certify_trapped``, the general certificate that also
 takes gaps holding 1/2; ``is_trap`` never builds those.
+``full_build_prefix`` builds every standard word of the digits before it
+cuts the prefix, where ``characteristic_prefix`` stops at the first one
+that covers it.
+``pairwise_gap_successors`` tests every gap image against every gap, where
+``_certify_trapped`` bisects for the run of gaps each image meets.
 ``trap_by_automaton`` decides traps from the automaton alone: from its
 components' cycle flags and the words read along their cycle order.
 ``grid_search`` runs the paper's theorem backwards: it tests every grid pair
@@ -72,7 +79,7 @@ from fractions import Fraction
 from dbhole.automaton import Hole, SurvivorAutomaton, _graph_sccs, build_automaton
 from dbhole.rationals import BudgetExceededError, lex_max_expansion, lex_min_expansion
 from dbhole.survivor import TrapReport
-from dbhole.words import check_word
+from dbhole.words import check_word, standard_words
 
 F = Fraction
 LESS, EQUAL, GREATER = -1, 0, 1
@@ -458,6 +465,17 @@ def reference_certify_trapped(gaps: list[tuple[Fraction, Fraction]]) -> bool:
     return True
 
 
+def pairwise_gap_successors(gaps: list[tuple[Fraction, Fraction]]) -> list[list[int]]:
+    """The overlap graph of survivor._certify_trapped as it was before the
+    bisection: each gap's image under 2x mod 1 against every gap, O(g^2)."""
+    branch = [int(lo >= Fraction(1, 2)) for lo, _ in gaps]
+    succ = [[j for j, (glo, ghi) in enumerate(gaps) if 2 * lo - s < ghi and glo < 2 * hi - s]
+            for (lo, hi), s in zip(gaps, branch)]
+    succ[0].remove(0)
+    succ[-1].remove(len(gaps) - 1)
+    return succ
+
+
 def reference_is_trap(c, d, depth=24, tol=F(1, 10**6), witness_max_len=12,
                       max_intervals=20_000, cutoffs=None):
     """is_trap as it was before the gap recursion: grow the covered union of
@@ -606,6 +624,18 @@ def accepts(auto, word):
         if s < 0:
             return False
     return True
+
+
+def full_build_prefix(cf, length, extend=True):
+    """characteristic_prefix as it was: standard_words(cf + (1,) * k)[-1][:length]
+    for the least k whose last word is long enough, built word by word; None
+    when that needs a padding 1 and ``extend`` is off."""
+    words = standard_words(cf)
+    while len(words[-1]) < length:
+        if not extend:
+            return None
+        words.append(words[-1] + words[-2])
+    return words[-1][:length]
 
 
 def is_balanced(w):

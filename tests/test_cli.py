@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from dbhole.cli import MAX_WORD_LENGTH, main
+from dbhole.cli import main
 from dbhole.rationals import int_max_str_digits
+from dbhole.words import MAX_WORD_LENGTH
 
 F = Fraction
 DIGIT_LIMIT = int_max_str_digits()
@@ -176,6 +177,29 @@ def test_word_length_cap_admits_its_bound(capsys):
     assert (code, len(out), err) == (0, MAX_WORD_LENGTH + 1, "")
 
 
+@pytest.mark.parametrize("line, word", [
+    pytest.param("word characteristic --cf 1000000000 --length 5", "00000",
+                 id="word-characteristic-cf-1000000000"),
+    pytest.param("word characteristic --cf 1,1000000000 --length 5", "01010",
+                 id="word-characteristic-cf-1-1000000000"),
+])
+def test_word_characteristic_builds_only_its_prefix(capsys, line, word):
+    start = time.perf_counter()
+    assert run(capsys, *line.split()) == (0, word + "\n", "")
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("line", [
+    "sturmian --cf 1,{a} --precision-bits 30", "catalog --max-q 3 --sturmian 1,{a}",
+])
+def test_sturmian_digit_past_the_prefix_costs_nothing(capsys, line):
+    # the 30-symbol prefix is (01)^15 for every a >= 15
+    start = time.perf_counter()
+    code, out, err = run(capsys, *line.format(a=10**9).split())
+    assert (code, err) == (0, "") and time.perf_counter() - start < 1
+    assert out.replace(str(10**9), str(10**6)) == run(capsys, *line.format(a=10**6).split())[1]
+
+
 def test_sturmian_command(capsys):
     code, out, _ = run(capsys, "sturmian", "--cf", "1,1,1,1,1,1,1",
                        "--precision-bits", "30")
@@ -309,16 +333,14 @@ REFUSALS = [
     refusal("word-characteristic", "word characteristic", 2, "characteristic needs --cf"),
     refusal("word-characteristic-cf", "word characteristic --cf 1,1", 2, "needs --length"),
     refusal("word-thue-morse", "word thue-morse", 2, "thue-morse needs a length"),
-    # every word command builds at most MAX_WORD_LENGTH symbols, standard
-    # words on the way included, and refuses more before it builds any
+    # every word builder refuses a word longer than MAX_WORD_LENGTH before
+    # it builds it, standard words on the way included
     refusal("word-thue-morse-8000000", "word thue-morse 8000000", 2,
             "word needs 8000000 symbols, above the cap of 1048576"),
     refusal("word-standard-1000000000", "word standard 1000000000", 2,
             "word needs 1000000001 symbols"),
     refusal("word-characteristic-length", "word characteristic --cf 1,1 --length 1048577", 2,
             "word needs 1048577 symbols"),
-    refusal("word-characteristic-cf-1000000000",
-            "word characteristic --cf 1000000000 --length 5", 2, "word needs 1000000001 symbols"),
     refusal("sturmian-precision-0", "sturmian --cf 1,1 --precision-bits 0", 2,
             "precision_bits must be positive"),
     # refused before any work, in place of Python's own int-to-str error

@@ -30,6 +30,7 @@ from oracles import (
     dense_perron_bracket,
     dense_rows,
     kneading_entropy,
+    pairwise_gap_successors,
     primitive_necklaces,
     reference_is_trap,
     reference_zero_max_rotation,
@@ -552,6 +553,45 @@ def test_trap_certificate_refuses_a_surviving_gap_cycle(monkeypatch):
             report = is_trap(F(7, 20), F(9, 14), depth=depth, tol=F(1, 10))
             assert report.trapped is None and report.residual_measure < F(1, 10)
     assert is_trap(F(7, 20), F(9, 14)).escape_witness == "01"
+
+
+def test_trap_certificate_overlaps_match_the_pairwise_scan(monkeypatch):
+    # record each gap list the certificate gets and the successor lists it
+    # hands to Tarjan, then rebuild those lists by the pairwise scan
+    calls = []
+    certify, sccs = survivor._certify_trapped, survivor._graph_sccs
+
+    def recording_certify(gaps):
+        calls.append({"gaps": gaps})
+        calls[-1]["verdict"] = certify(gaps)
+        return calls[-1]["verdict"]
+
+    def recording_sccs(succ):
+        calls[-1]["succ"] = [list(js) for js in succ]
+        return sccs(succ)
+
+    monkeypatch.setattr(survivor, "_certify_trapped", recording_certify)
+    monkeypatch.setattr(survivor, "_graph_sccs", recording_sccs)
+    # one hole of each mirror pair of catalog(6) that is_trap takes: all traps
+    for c, d in sorted({(e.left, e.right) for e in catalog(6) if isinstance(e.left, F)
+                        and isinstance(e.right, F) and 0 < e.left < e.right <= 1 - e.left}):
+        assert is_trap(c, d).trapped
+    # with no witness search, seeded intervals around 1/2 reach certificates
+    # that refuse, as do the two of test_trap_certificate_refuses_a_surviving_gap_cycle
+    monkeypatch.setattr(survivor, "TRAP_WITNESS_MAX_LEN", 0)
+    rng = random.Random(1)
+    for _ in range(30):
+        q = rng.randrange(8, 100)
+        c = F(rng.randrange(q // 4 + 1, (q + 1) // 2), q)
+        d = F(rng.randrange(q // 2 + 1, 3 * q // 4), q)
+        is_trap(c, d, depth=6, tol=F(1, 2))
+    for depth in (4, 12):
+        is_trap(F(7, 20), F(9, 14), depth=depth, tol=F(1, 10))
+    for call in calls:
+        assert call["succ"] == pairwise_gap_successors(call["gaps"])
+    verdicts = [call["verdict"] for call in calls]
+    assert verdicts.count(True) >= 19 and verdicts.count(False) >= 60
+    assert max(len(call["gaps"]) for call in calls) >= 100
 
 
 def test_is_trap_interval_missing_one_half(monkeypatch):

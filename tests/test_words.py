@@ -1,10 +1,13 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from fractions import Fraction
 
+from dbhole.holes import sturmian_hole
 from dbhole.words import (
+    MAX_WORD_LENGTH,
     EvPeriodicWord,
     cf_of_fraction,
     characteristic_prefix,
@@ -15,7 +18,7 @@ from dbhole.words import (
     standard_words,
     thue_morse,
 )
-from oracles import EQUAL, GREATER, LESS, is_balanced, lex_compare
+from oracles import EQUAL, GREATER, LESS, full_build_prefix, is_balanced, lex_compare
 
 
 def test_standard_words_examples():
@@ -68,6 +71,64 @@ def test_characteristic_prefix_without_extension():
         characteristic_prefix((1,), 10, extend=False)
     # reachable without extension
     assert characteristic_prefix((1, 1, 1, 1, 1, 1), 10, extend=False)
+
+
+def test_characteristic_prefix_matches_the_full_build():
+    rng = random.Random(29)
+    checked = unreachable = 0
+    while checked < 20_000:
+        cf = tuple(rng.randrange(1, 18) if rng.random() < 0.5 else rng.randrange(1, 4)
+                   for _ in range(rng.randrange(1, 7)))
+        if convergents(cf)[-1][1] > MAX_WORD_LENGTH:  # the full build refuses these
+            continue
+        length, extend = rng.randrange(1, 401), rng.random() < 0.7
+        expected = full_build_prefix(cf, length, extend)
+        if expected is None:
+            with pytest.raises(ValueError, match=f"prefix of length {length} unreachable"):
+                characteristic_prefix(cf, length, extend)
+            unreachable += 1
+        else:
+            assert characteristic_prefix(cf, length, extend) == expected
+        checked += 1
+    assert unreachable > 1000
+
+
+def test_characteristic_prefix_costs_its_length_not_its_digits():
+    # s_2 = s_1^a s_0 begins with a copies of s_1 = 01, so a = 10^9 is never multiplied out
+    assert characteristic_prefix((1, 10**9), 5) == "01010"
+    assert characteristic_prefix((10**9,), 5) == "00000"
+    tracemalloc.start()
+    try:
+        hole = sturmian_hole((1, 10**9), 30)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert hole[1:] == sturmian_hole((1, 10**6), 30)[1:]
+
+
+@pytest.mark.parametrize("build, needs", [
+    pytest.param(lambda: standard_words((1, 10**9)), "2000000001", id="standard-1-1000000000"),
+    pytest.param(lambda: standard_words((2**400,)), "<401-bit integer>", id="standard-2^400"),
+    pytest.param(lambda: standard_words((MAX_WORD_LENGTH,)), "1048577", id="standard-cap"),
+    pytest.param(lambda: thue_morse(MAX_WORD_LENGTH + 1), "1048577", id="thue-morse"),
+    pytest.param(lambda: characteristic_prefix((1,), MAX_WORD_LENGTH + 1), "1048577",
+                 id="characteristic"),
+])
+def test_builders_refuse_a_word_past_the_cap_before_building_it(build, needs):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as refused:
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(refused.value) == f"word needs {needs} symbols, above the cap of 1048576"
+    assert peak < 1 << 16
+
+
+def test_standard_words_admit_the_cap():
+    assert len(standard_words((MAX_WORD_LENGTH - 1,))[-1]) == MAX_WORD_LENGTH
 
 
 def brute_balanced(w):
