@@ -6,7 +6,9 @@ supercritical-test.  Each command returns its payload: a dict or list, which
 is.  `main` is the one writer: to `--out PATH` if given, else to stdout.
 Rationals print exactly as "p/q", floats with 12 significant digits; output is
 byte-deterministic for fixed inputs.  Exit codes: 0 success, 2 argument error
-or unwritable `--out`, 3 iteration, state or expansion budget exceeded.
+or unwritable `--out`, 3 iteration, state, expansion or trap-search budget
+exceeded.  A command checks only what its library call does not: missing
+arguments, `scan`'s grid range and `sturmian` denominators too long to print.
 """
 
 from __future__ import annotations
@@ -27,8 +29,6 @@ from .survivor import (
     locate_entropy_transition,
 )
 from .words import characteristic_prefix, standard_words, thue_morse
-
-MAX_BISECT_PRECISION = 24
 
 
 def _fmt_float(x: float) -> str:
@@ -82,8 +82,6 @@ def _cmd_scan(args) -> str:
 
 
 def _cmd_bisect_astar(args) -> dict:
-    if not 1 <= args.precision <= MAX_BISECT_PRECISION:
-        raise ValueError(f"precision must be in 1..{MAX_BISECT_PRECISION}")
     lo, hi = locate_entropy_transition(args.precision)
     return {"lo": format_fraction(lo), "hi": format_fraction(hi)}
 
@@ -118,10 +116,7 @@ def _cmd_trap(args) -> dict:
 
 def _cmd_word(args) -> str:
     if args.kind == "standard":
-        cf = tuple(int(t) for t in args.entries)
-        if not cf:
-            raise ValueError("standard needs continued-fraction entries")
-        text = standard_words(cf)[-1]
+        text = standard_words(tuple(int(t) for t in args.entries))[-1]
     elif args.kind == "characteristic":
         if not args.cf:
             raise ValueError("characteristic needs --cf")

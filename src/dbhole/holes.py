@@ -25,7 +25,6 @@ from .words import (
     cf_of_fraction,
     characteristic_prefix,
     check_cf,
-    convergents,
     standard_words,
 )
 from .rationals import pi_value
@@ -56,8 +55,8 @@ def gap_interval(cf) -> GapInterval:
     first = pi_value(EvPeriodicWord.make("01", s_n))
     second = pi_value(EvPeriodicWord.make("01", partner))
     alpha, beta = (first, second) if n % 2 == 1 else (second, first)
-    p, q = convergents(cf)[-1]
-    return GapInterval(cf, alpha, beta, beta + ONE_QUARTER, p, q)
+    # s_n has 1-count p and length q, the last convergent p/q of cf
+    return GapInterval(cf, alpha, beta, beta + ONE_QUARTER, s_n.count("1"), len(s_n))
 
 
 class SturmianHoleBracket(namedtuple("SturmianHoleBracket",
@@ -74,11 +73,19 @@ class SturmianHoleBracket(namedtuple("SturmianHoleBracket",
 
 
 def sturmian_hole(cf_prefix, precision_bits: int) -> SturmianHoleBracket:
-    """Bracket the Sturmian hole determined by a characteristic-word prefix."""
+    """Bracket the Sturmian hole determined by a characteristic-word prefix.
+
+    The prefix has ``precision_bits`` symbols, so the word cap
+    ``words.MAX_WORD_LENGTH`` bounds the precision; its refusal is re-raised
+    naming the precision.
+    """
     cf_prefix = check_cf(cf_prefix)
     if precision_bits < 1:
         raise ValueError("precision_bits must be positive")
-    head = characteristic_prefix(cf_prefix, precision_bits)
+    try:
+        head = characteristic_prefix(cf_prefix, precision_bits)
+    except ValueError as exc:
+        raise ValueError(f"precision {precision_bits} bits: {exc}") from exc
     lo = Fraction(int("01" + head, 2), 1 << (len(head) + 2))
     hi = lo + Fraction(1, 1 << (len(head) + 2))
     return SturmianHoleBracket(

@@ -79,6 +79,8 @@ BRACKET_CACHE_SIZE = 4096
 # is_trap() budgets: longest escape-witness cycle, most gaps tracked beyond one
 TRAP_WITNESS_MAX_LEN = 12
 MAX_TRAP_INTERVALS = 20_000
+# Most bits locate_entropy_transition() bisects to
+MAX_BISECT_PRECISION = 24
 _brackets: dict[Hole, tuple[float, float]] = {}
 
 
@@ -235,8 +237,9 @@ def cylinder_counts(hole: Hole, depth: int) -> tuple[int, int]:
 
 
 class TrapReport(namedtuple("TrapReport", "trapped residual_measure escape_witness")):
-    """Outcome of is_trap: trapped is True, False or None (undecided), the
-    measure of the points not yet trapped, and an escape witness or None."""
+    """Outcome of is_trap: ``trapped`` is True (a proof) or False, the measure
+    of the points not yet trapped, and the escape witness of a False answer
+    (None for True)."""
 
     __slots__ = ()
 
@@ -282,8 +285,10 @@ def is_trap(c: Fraction, d: Fraction, depth: int = 24, tol=Fraction(1, 10**6)) -
     measure, the residual, to drop below ``tol`` and the expanding-gap
     certificate to hold, so it is a proof.  trapped=False comes with a witness:
     a cycle of at most ``TRAP_WITNESS_MAX_LEN`` symbols (or the coding 1(0)
-    of 1/2) that avoids the closed interval.  Anything else is None, as is a
-    run past ``MAX_TRAP_INTERVALS + 1`` gaps.
+    of 1/2) that avoids the closed interval.  A search that ends undecided,
+    after ``depth`` rounds or past ``MAX_TRAP_INTERVALS + 1`` gaps, raises
+    BudgetExceededError naming that budget and the residual it reached; it
+    has no bracket, so its ``partial`` is None.
     """
     c, d = Fraction(c), Fraction(d)
     if not 0 < c < d < 1:
@@ -300,17 +305,21 @@ def is_trap(c: Fraction, d: Fraction, depth: int = 24, tol=Fraction(1, 10**6)) -
         return TrapReport(False, residual, witness)
 
     gaps = [(Fraction(0), c), (d, Fraction(1))]
-    for _ in range(depth):
+    search = f"trap search for [{format_short(c)}, {format_short(d)}]"
+    for k in range(1, depth + 1):
         pre = [(lo / 2, hi / 2) for lo, hi in gaps]
         pre += [((lo + 1) / 2, (hi + 1) / 2) for lo, hi in gaps]
         gaps = ([(lo, min(hi, c)) for lo, hi in pre if lo < c]
                 + [(max(lo, d), hi) for lo, hi in pre if hi > d])
         if len(gaps) > MAX_TRAP_INTERVALS + 1:
-            break
+            raise BudgetExceededError(
+                f"{search} has {len(gaps)} gaps in round {k}, above the gap budget of "
+                f"{MAX_TRAP_INTERVALS + 1}; residual {format_short(residual)}")
         residual = sum((hi - lo for lo, hi in gaps), Fraction(0))
         if residual < tol and _certify_trapped(gaps):
             return TrapReport(True, residual, None)
-    return TrapReport(None, residual, None)
+    raise BudgetExceededError(f"{search} undecided after {depth} rounds; residual "
+                              f"{format_short(residual)}, tol {format_short(tol)}")
 
 
 def locate_entropy_transition(precision_bits: int) -> tuple[Fraction, Fraction]:
@@ -318,10 +327,12 @@ def locate_entropy_transition(precision_bits: int) -> tuple[Fraction, Fraction]:
     set first gains positive entropy: at most 2^-precision_bits wide, and never
     wider than the seed bracket [3/8, 7/16] that bisection on a for holes
     (a, 1-a) starts from.  The survivor set only grows with a, so the
-    classification flips exactly once.
+    classification flips exactly once.  A precision outside
+    1..``MAX_BISECT_PRECISION`` is refused before any classify() call.
     """
-    if precision_bits < 1:
-        raise ValueError("precision_bits must be positive")
+    if not 1 <= precision_bits <= MAX_BISECT_PRECISION:
+        raise ValueError(f"precision_bits must be in 1..{MAX_BISECT_PRECISION}, "
+                         f"got {precision_bits}")
     lo, hi = Fraction(3, 8), Fraction(7, 16)
 
     def positive(a: Fraction) -> bool:

@@ -480,7 +480,8 @@ def reference_is_trap(c, d, depth=24, tol=F(1, 10**6), witness_max_len=12,
                       max_intervals=20_000, cutoffs=None):
     """is_trap as it was before the gap recursion: grow the covered union of
     preimages, sort-merge it and take its complement.  ``cutoffs`` counts
-    the runs stopped by ``max_intervals``."""
+    the runs stopped by ``max_intervals``.  An undecided run returns
+    trapped=None, where is_trap raises BudgetExceededError."""
     c, d = F(c), F(d)
     tol = F(tol)
     for w, rots in primitive_necklaces(witness_max_len):

@@ -143,11 +143,15 @@ def test_trap_false_with_witness(capsys):
 
 
 def test_trap_undecided_prints_null(capsys):
-    code, out, _ = run(capsys, "trap", "1/3", "2/3", "--depth", "2")
+    # an undecided search prints nothing, never "trapped": null: below depth
+    # 20 the residual 2/3 / 2**depth is still above tol and the CLI exits 3
+    for depth in range(20):
+        code, out, err = run(capsys, "trap", "1/3", "2/3", "--depth", str(depth))
+        assert (code, out) == (3, "")
+        assert f"undecided after {depth} rounds" in err
+    code, out, _ = run(capsys, "trap", "1/3", "2/3", "--depth", "20")
     assert code == 0
-    data = json.loads(out)
-    assert data["trapped"] is None
-    assert data["escape_witness"] is None
+    assert json.loads(out)["trapped"] is True
 
 
 def test_word_standard(capsys):
@@ -262,8 +266,6 @@ GOLDEN = [
      "53bb2e8597035c59d38c2208ee026edac90410578cafb6199fbf59b3263f019d"),
     ("word thue-morse 8 --json",
      "1643170e7264c4ad2fc1e2dfac457eaeb0f5bc74495f4a2c93645e0571262919"),
-    ("trap 1/3 2/3 --depth 2",
-     "b657a8900a794712f8bcdd1eab0f3462d92c7ac39207617068be4da1ccf93466"),
     # trapped: true
     ("trap 1/3 2/3",
      "bf8d650df147f151e5eb320e53078b149e47eb9090274f2901dc6ee34774e3f3"),
@@ -329,7 +331,7 @@ REFUSALS = [
     refusal("trap-tol-negative", "trap 1/3 2/3 --tol -1", 2, "tol > 0, got 24 and -1"),
     refusal("trap-tol-0", "trap 1/3 2/3 --tol 0", 2, "tol > 0, got 24 and 0"),
     refusal("trap-inverted", "trap 2/3 1/3", 2, "need 0 < c < d < 1, got [2/3, 1/3]"),
-    refusal("word-standard", "word standard", 2, "standard needs continued-fraction entries"),
+    refusal("word-standard", "word standard", 2, "continued-fraction tuple must be nonempty"),
     refusal("word-characteristic", "word characteristic", 2, "characteristic needs --cf"),
     refusal("word-characteristic-cf", "word characteristic --cf 1,1", 2, "needs --length"),
     refusal("word-thue-morse", "word thue-morse", 2, "thue-morse needs a length"),
@@ -371,6 +373,12 @@ REFUSALS = [
     refusal("perron-budget-bisect-astar", "bisect-astar --precision 4", 3,
             "100 node and successor-entry visits; bisection bracket [3/8, 7/16]",
             partial=("3/8", "7/16"), patches=PERRON_100),
+    # an undecided trap search has no bracket, so it prints no partial line
+    refusal("trap-depth-2", "trap 1/3 2/3 --depth 2", 3,
+            "trap search for [1/3, 2/3] undecided after 2 rounds; residual 1/6"),
+    refusal("trap-gap-budget", "trap 1/3 3/5", 3,
+            "trap search for [1/3, 3/5] has 8 gaps in round 3, above the gap budget of 6",
+            patches=[("dbhole.survivor.MAX_TRAP_INTERVALS", 5)]),
     refusal("perron-budget-supercritical", "supercritical-test 2/7 15/28", 3,
             "Perron bracket did not reach", partial=("1/1", "24/19"), patches=PERRON_100),
 ]

@@ -14,7 +14,7 @@ from dbhole.holes import (
 from dbhole.holes import test_supercritical as run_supercritical
 from dbhole.rationals import binary_expansion, pi_value
 from dbhole.survivor import Kind
-from dbhole.words import cf_of_fraction
+from dbhole.words import MAX_WORD_LENGTH, cf_of_fraction, convergents
 from oracles import grid_points, grid_search, grid_supercritical
 
 F = Fraction
@@ -53,6 +53,15 @@ def test_gap_interval_requires_final_entry_two():
         gap_interval((0, 2))
 
 
+def test_gap_interval_p_q_is_the_last_convergent():
+    # (p, q) is read off s_n; convergents builds it from the digits alone
+    tuples = {tuple(e.parameter["cf"]) for e in catalog(20) if "cf" in e.parameter}
+    assert len(tuples) == len(all_gap_tuples(20))
+    for cf in tuples:
+        gap = gap_interval(cf)
+        assert (gap.p, gap.q) == convergents(cf)[-1], cf
+
+
 @pytest.mark.parametrize("cf", all_gap_tuples(25))
 def test_gap_interval_invariants(cf):
     gap = gap_interval(cf)
@@ -76,6 +85,13 @@ def test_sturmian_hole_fibonacci():
     assert abs(float(hole.right[0]) - 0.572549) < 1e-6
     assert hole.right[0] - hole.left[0] == F(1, 4)
     assert hole.right[1] - hole.left[1] == F(1, 4)
+
+
+def test_sturmian_hole_names_the_precision_past_the_word_cap():
+    n = MAX_WORD_LENGTH + 1
+    with pytest.raises(ValueError, match=rf"^precision {n} bits: word needs {n} symbols, "
+                                         rf"above the cap of {MAX_WORD_LENGTH}$"):
+        sturmian_hole((1, 1), n)
 
 
 def test_sturmian_hole_left_endpoint_approaches_quarter():

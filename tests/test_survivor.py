@@ -1,5 +1,7 @@
+import contextlib
 import math
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -11,7 +13,6 @@ from dbhole.holes import _endpoint_bracket, catalog
 from dbhole.rationals import BudgetExceededError
 from dbhole.survivor import (
     Kind,
-    TrapReport,
     _bracket_key,
     _graph_sccs,
     _perron_bracket,
@@ -550,8 +551,11 @@ def test_trap_certificate_refuses_a_surviving_gap_cycle(monkeypatch):
     with monkeypatch.context() as budget:
         budget.setattr(survivor, "TRAP_WITNESS_MAX_LEN", 0)
         for depth in (4, 12):
-            report = is_trap(F(7, 20), F(9, 14), depth=depth, tol=F(1, 10))
-            assert report.trapped is None and report.residual_measure < F(1, 10)
+            with pytest.raises(BudgetExceededError) as exc:
+                is_trap(F(7, 20), F(9, 14), depth=depth, tol=F(1, 10))
+            spent = re.fullmatch(rf"trap search for \[7/20, 9/14\] undecided after {depth} "
+                                 r"rounds; residual (\S+), tol 1/10", str(exc.value))
+            assert spent and F(spent[1]) < F(1, 10)
     assert is_trap(F(7, 20), F(9, 14)).escape_witness == "01"
 
 
@@ -584,9 +588,11 @@ def test_trap_certificate_overlaps_match_the_pairwise_scan(monkeypatch):
         q = rng.randrange(8, 100)
         c = F(rng.randrange(q // 4 + 1, (q + 1) // 2), q)
         d = F(rng.randrange(q // 2 + 1, 3 * q // 4), q)
-        is_trap(c, d, depth=6, tol=F(1, 2))
+        with contextlib.suppress(BudgetExceededError):
+            is_trap(c, d, depth=6, tol=F(1, 2))
     for depth in (4, 12):
-        is_trap(F(7, 20), F(9, 14), depth=depth, tol=F(1, 10))
+        with pytest.raises(BudgetExceededError):
+            is_trap(F(7, 20), F(9, 14), depth=depth, tol=F(1, 10))
     for call in calls:
         assert call["succ"] == pairwise_gap_successors(call["gaps"])
     verdicts = [call["verdict"] for call in calls]
@@ -618,12 +624,18 @@ def test_is_trap_rejects_negative_depth_and_nonpositive_tol(monkeypatch):
     assert is_trap(F(9, 20), F(11, 20), depth=0).escape_witness is not None
     with monkeypatch.context() as budget:
         budget.setattr(survivor, "TRAP_WITNESS_MAX_LEN", 0)
-        assert is_trap(F(9, 20), F(11, 20), depth=0) == TrapReport(None, F(9, 10), None)
+        with pytest.raises(BudgetExceededError, match=r"^trap search for \[9/20, 11/20\] "
+                           r"undecided after 0 rounds; residual 9/10, tol 1/1000000$") as exc:
+            is_trap(F(9, 20), F(11, 20), depth=0)
+        assert exc.value.partial is None
     with monkeypatch.context() as budget:
         budget.setattr(survivor, "MAX_TRAP_INTERVALS", 0)
-        assert is_trap(F(1, 3), F(2, 3)).trapped is None
+        with pytest.raises(BudgetExceededError, match=r"^trap search for \[1/3, 2/3\] has "
+                           r"\d+ gaps in round 1, above the gap budget of 1; residual 2/3$"):
+            is_trap(F(1, 3), F(2, 3))
     # depth 0 runs the witness search alone
-    assert is_trap(F(1, 3), F(2, 3), depth=0) == TrapReport(None, F(2, 3), None)
+    with pytest.raises(BudgetExceededError, match=r"after 0 rounds; residual 2/3,"):
+        is_trap(F(1, 3), F(2, 3), depth=0)
     assert is_trap(F(2, 5), F(9, 20), depth=0).escape_witness == "01"
 
 
@@ -653,13 +665,27 @@ def test_is_trap_matches_union_reference(monkeypatch):
             continue
         kwargs = dict(depth=rng.randrange(0, 13), tol=F(1, rng.choice((10, 100, 1000, 10**4))))
         budgets = dict(witness_max_len=rng.randrange(0, 7), max_intervals=rng.randrange(1, 60))
+        cut = len(cutoffs)
         want = reference_is_trap(c, d, cutoffs=cutoffs, **kwargs, **budgets)
         monkeypatch.setattr(survivor, "TRAP_WITNESS_MAX_LEN", budgets["witness_max_len"])
         monkeypatch.setattr(survivor, "MAX_TRAP_INTERVALS", budgets["max_intervals"])
-        assert is_trap(c, d, **kwargs) == want, (c, d, kwargs, budgets)
         verdicts[want.trapped] += 1
+        if want.trapped is not None:
+            assert is_trap(c, d, **kwargs) == want, (c, d, kwargs, budgets)
+            continue
+        # the reference's undecided run is a raise naming the budget it spent
+        spent = (rf"has \d+ gaps in round \d+, above the gap budget of "
+                 rf"{budgets['max_intervals'] + 1}; residual {want.residual_measure}"
+                 if len(cutoffs) > cut else
+                 rf"undecided after {kwargs['depth']} rounds; residual {want.residual_measure}, "
+                 rf"tol {kwargs['tol']}")
+        with pytest.raises(BudgetExceededError,
+                           match=rf"^trap search for {re.escape(f'[{c}, {d}]')} {spent}$") as exc:
+            is_trap(c, d, **kwargs)
+        assert exc.value.partial is None, (c, d, kwargs, budgets)
     assert min(verdicts.values()) >= 20, verdicts
-    assert len(cutoffs) >= 20
+    # both budgets end runs: the gap count and the rounds
+    assert len(cutoffs) >= 20 and verdicts[None] - len(cutoffs) >= 20
 
 
 def test_is_trap_long_period_endpoint_is_certified():
@@ -684,10 +710,12 @@ def test_is_trap_agrees_with_automaton_criterion(monkeypatch):
             c, d = F(rng.randrange(1, qc), qc), F(rng.randrange(1, qd), qd)
         if not c < d:
             continue
-        report = is_trap(c, d, depth=16, tol=F(1, 100))
-        if report.trapped is not None:
-            assert report.trapped == trap_by_automaton(c, d), (c, d)
-            decided[report.trapped] += 1
+        try:
+            report = is_trap(c, d, depth=16, tol=F(1, 100))
+        except BudgetExceededError:
+            continue
+        assert report.trapped == trap_by_automaton(c, d), (c, d)
+        decided[report.trapped] += 1
     assert min(decided.values()) >= 10, decided
 
 
@@ -740,6 +768,15 @@ def test_locate_names_the_perron_budget_and_the_bisection_bracket(monkeypatch, b
                        match=rf"^Perron .*; bisection bracket \[{lo}, {hi}\]$") as exc:
         locate_entropy_transition(16)
     assert exc.value.partial == (lo, hi)
+
+
+@pytest.mark.parametrize("bits", [0, survivor.MAX_BISECT_PRECISION + 1])
+def test_locate_refuses_a_precision_before_any_classify(monkeypatch, bits):
+    calls = []
+    monkeypatch.setattr(survivor, "classify", lambda hole: calls.append(hole))
+    with pytest.raises(ValueError, match=rf"^precision_bits must be in 1\.\.24, got {bits}$"):
+        locate_entropy_transition(bits)
+    assert calls == []
 
 
 def test_locate_entropy_transition_coarse():
